@@ -23,8 +23,8 @@
 //   - On-disk cache: Encode/Decode frame the state in the versioned
 //     binary columnar wire format (checkpoint_binary.go), and Dir/Save/
 //     Load manage a content-addressed directory keyed by a config+workload
-//     hash (see Key). Decode sniffs the stream and still reads the legacy
-//     gzip+JSON format (checkpoint_legacy.go) for old directory contents.
+//     hash (see Key). The directory is only a cache: any entry Decode
+//     refuses is a miss, and the caller re-warms.
 package checkpoint
 
 import (
@@ -44,16 +44,8 @@ import (
 // core-private hierarchy skips the uncore-owned L2/L3), and SocketState
 // captures an N-core socket with the shared uncore recorded once;
 // 4 = the wire format switched from gzip+JSON to the binary columnar
-// codec (same state layout as 3 — legacy version-3 JSON streams are
-// sniffed and decoded by the retained legacy decoder).
+// codec (same state layout as 3). Only the current version decodes.
 const FormatVersion = 4
-
-// legacyJSONVersion is the newest state-layout version the retained
-// gzip+JSON decoder accepts. Layouts 3 and 4 are field-identical (4 only
-// changed the wire encoding), so a sniffed legacy stream at version 3
-// decodes into the current structs and is stamped FormatVersion on the
-// way out.
-const legacyJSONVersion = 3
 
 // State is the complete simulator state at one cycle boundary.
 type State struct {
@@ -173,7 +165,7 @@ type HierarchyState struct {
 	// Shared marks a core-private hierarchy whose L2/L3 are views of a
 	// socket's uncore: their CacheStates are left empty here (the socket
 	// captures the shared levels exactly once, in UncoreState).
-	Shared bool `json:",omitempty"`
+	Shared bool
 }
 
 // CacheState is one set-associative cache level: every line's metadata
@@ -183,9 +175,9 @@ type HierarchyState struct {
 // indexed set-major (set*Ways + way) — rather than as an array of
 // per-line structs. The cache sections dominate the encoded state (L2
 // and L3 carry tens of thousands of lines), and the columnar layout
-// both shrinks them (each field name appears once in the JSON, not once
-// per line; the three bool columns pack into base64 bitmasks) and
-// decodes as primitive-array scans instead of per-line object parses.
+// both shrinks them (tags and deadlines delta-code to a byte or two; the
+// three bool columns pack into bitmasks) and decodes as primitive-array
+// scans instead of per-line walks.
 type CacheState struct {
 	// Sets and Ways pin the geometry so a restore into a differently
 	// configured cache fails loudly.
@@ -206,9 +198,9 @@ type CacheState struct {
 	// Inflight, and Owners holds the per-owner interference counters. The
 	// per-owner in-flight occupancy is derived from InflightOwner at
 	// restore.
-	Owner         []uint8      `json:",omitempty"`
-	InflightOwner []uint8      `json:",omitempty"`
-	Owners        []OwnerStats `json:",omitempty"`
+	Owner         []uint8
+	InflightOwner []uint8
+	Owners        []OwnerStats
 }
 
 // OwnerStats mirrors cache.OwnerStats field-for-field (a compile-checked
@@ -223,9 +215,8 @@ type OwnerStats struct {
 	CrossEvictionsCaused   uint64
 }
 
-// Bitmask is a packed bool column: entry i lives at bit i%8 of byte i/8.
-// JSON encodes it as a base64 string, so n bools cost ~n/6 bytes on the
-// wire instead of 5–6 bytes each as literal true/false.
+// Bitmask is a packed bool column: entry i lives at bit i%8 of byte i/8,
+// so n bools cost n/8 bytes on the wire.
 type Bitmask []byte
 
 // NewBitmask returns an all-false mask with capacity for n entries.
@@ -376,10 +367,10 @@ type SourceState struct {
 	Kind string
 	// Walker is the CFG-walker state (SourceCFG), and doubles as the
 	// shadow-walker state of a differential ChampSim source.
-	Walker *WalkerState `json:",omitempty"`
+	Walker *WalkerState
 	// ChampSim is the trace-replay state (SourceChampSim and
 	// SourceChampSimWrong).
-	ChampSim *ChampSimState `json:",omitempty"`
+	ChampSim *ChampSimState
 }
 
 // WalkerState captures a trace walker's position and stream state. The
@@ -409,8 +400,8 @@ type ChampSimState struct {
 	Primed bool
 	// Decode is the sparse contents of the shadow decode cache, sorted
 	// by slot index.
-	Decode []ChampSimDecodeEntry `json:",omitempty"`
-	RAS    []isa.Addr            `json:",omitempty"`
+	Decode []ChampSimDecodeEntry
+	RAS    []isa.Addr
 	PC     isa.Addr
 }
 
@@ -526,11 +517,11 @@ type QueueStats struct {
 // concrete implementation; exactly the matching sub-state is non-nil.
 type PrefetcherState struct {
 	Kind     string
-	PDIP     *PDIPState     `json:",omitempty"`
-	EIP      *EIPState      `json:",omitempty"`
-	RDIP     *RDIPState     `json:",omitempty"`
-	FNLMMA   *FNLMMAState   `json:",omitempty"`
-	NextLine *NextLineState `json:",omitempty"`
+	PDIP     *PDIPState
+	EIP      *EIPState
+	RDIP     *RDIPState
+	FNLMMA   *FNLMMAState
+	NextLine *NextLineState
 }
 
 // PDIPState captures the PDIP trigger→target table.

@@ -2,10 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -380,77 +378,5 @@ func TestBinaryVersionMismatch(t *testing.T) {
 	st.Version = FormatVersion + 1
 	if _, err := DecodeBytes(encodeState(t, st)); err == nil {
 		t.Error("decode accepted a stream with a future format version")
-	}
-}
-
-// TestLegacyJSONMigration writes the retained gzip+JSON format and decodes
-// it through the sniffing front door: the bytes must be recognised as
-// legacy, decode to the identical state, and come back stamped with the
-// current FormatVersion.
-func TestLegacyJSONMigration(t *testing.T) {
-	st := sampleState()
-	var buf bytes.Buffer
-	if err := encodeLegacyJSON(&buf, st); err != nil {
-		t.Fatalf("legacy encode: %v", err)
-	}
-	if !isLegacy(buf.Bytes()) {
-		t.Fatal("legacy gzip stream not sniffed as legacy")
-	}
-	if st.Version != FormatVersion {
-		t.Fatalf("legacy encode mutated the in-memory state's version to %d", st.Version)
-	}
-	got, err := DecodeBytes(buf.Bytes())
-	if err != nil {
-		t.Fatalf("decode legacy: %v", err)
-	}
-	if got.Version != FormatVersion {
-		t.Errorf("migrated state carries version %d, want %d", got.Version, FormatVersion)
-	}
-	if !reflect.DeepEqual(st, got) {
-		t.Errorf("legacy JSON migration is lossy:\n in: %+v\nout: %+v", st, got)
-	}
-	// The io.Reader entry point must sniff too (Dir reads files whole, but
-	// harness code paths go through Decode).
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Errorf("Decode(reader) rejected a legacy stream: %v", err)
-	}
-}
-
-// TestLegacySocketJSONMigration is TestLegacyJSONMigration for the
-// socket-level snapshot.
-func TestLegacySocketJSONMigration(t *testing.T) {
-	st := sampleSocketState()
-	var buf bytes.Buffer
-	if err := encodeLegacySocketJSON(&buf, st); err != nil {
-		t.Fatalf("legacy encode: %v", err)
-	}
-	got, err := DecodeSocket(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("decode legacy socket: %v", err)
-	}
-	if got.Version != FormatVersion {
-		t.Errorf("migrated socket carries version %d, want %d", got.Version, FormatVersion)
-	}
-	if !reflect.DeepEqual(st, got) {
-		t.Errorf("legacy socket JSON migration is lossy:\n in: %+v\nout: %+v", st, got)
-	}
-}
-
-// TestLegacyJSONVersionMismatch builds a legacy stream claiming an older
-// layout version than the JSON decoder understands: the sniffed decode
-// must refuse it rather than force the bytes into current structs.
-func TestLegacyJSONVersionMismatch(t *testing.T) {
-	st := sampleState()
-	st.Version = legacyJSONVersion - 1
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(zw).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeBytes(buf.Bytes()); err == nil {
-		t.Error("decode accepted a legacy stream with a pre-legacy layout version")
 	}
 }

@@ -28,13 +28,8 @@ func Key(v any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Checkpoint file suffixes: new binary checkpoints are written as
-// <key>.ckpt; <key>.ckpt.gz is the legacy gzip+JSON suffix, still read
-// (and GC'd) so directories written before the binary codec keep working.
-const (
-	ckptSuffix       = ".ckpt"
-	ckptLegacySuffix = ".ckpt.gz"
-)
+// ckptSuffix is the checkpoint file suffix: <key>.ckpt.
+const ckptSuffix = ".ckpt"
 
 // path places key's checkpoint inside dir.
 func path(dir, key string) string {
@@ -48,9 +43,7 @@ func path(dir, key string) string {
 func Load(dir, key string) (*State, error) {
 	b, err := os.ReadFile(path(dir, key))
 	if err != nil {
-		if b, err = os.ReadFile(filepath.Join(dir, key+ckptLegacySuffix)); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	return DecodeBytes(b)
 }
@@ -265,15 +258,12 @@ func (d *Dir) Load(key string) (st *State, cached bool, err error) {
 	return c.st, false, c.err
 }
 
-// loadDisk reads and decodes key's file, trying the binary suffix first
-// and the legacy gzip+JSON suffix second. The decoded cost is the
-// encoded length — the unit the cache budget is accounted in.
+// loadDisk reads and decodes key's file. The decoded cost is the encoded
+// length — the unit the cache budget is accounted in.
 func (d *Dir) loadDisk(key string) (*State, int64, error) {
 	b, err := os.ReadFile(path(d.path, key))
 	if err != nil {
-		if b, err = os.ReadFile(filepath.Join(d.path, key+ckptLegacySuffix)); err != nil {
-			return nil, 0, nil // not stored: a plain miss, not an error
-		}
+		return nil, 0, nil // not stored: a plain miss, not an error
 	}
 	st, err := DecodeBytes(b)
 	if err != nil {
@@ -354,7 +344,7 @@ func (d *Dir) GC(maxBytes int64) (removed int, freed int64, err error) {
 	var total int64
 	for _, en := range ents {
 		name := en.Name()
-		if !strings.HasSuffix(name, ckptSuffix) && !strings.HasSuffix(name, ckptLegacySuffix) {
+		if !strings.HasSuffix(name, ckptSuffix) {
 			continue // foreign files and in-flight temps are not ours to delete
 		}
 		info, err := en.Info()

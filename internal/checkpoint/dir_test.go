@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -146,29 +145,29 @@ func TestDirSingleflight(t *testing.T) {
 	}
 }
 
-// TestDirLegacyFile plants a legacy gzip+JSON checkpoint under the old
-// .ckpt.gz suffix: Dir.Load must find it, sniff it, and migrate it to the
-// current version in memory.
-func TestDirLegacyFile(t *testing.T) {
+// TestDirIgnoresGzipFiles pins the old-format contract: checkpoints
+// from the retired gzip+JSON codec are never read. A <key>.ckpt.gz file
+// is invisible to Load (a plain miss), and gzip bytes under the current
+// suffix are refused like any corrupt file — either way the caller
+// re-warms.
+func TestDirIgnoresGzipFiles(t *testing.T) {
 	dir := t.TempDir()
-	st := sampleState()
-	var buf bytes.Buffer
-	if err := encodeLegacyJSON(&buf, st); err != nil {
+	gz := []byte{0x1f, 0x8b, 0x08, 0x00}
+	if err := os.WriteFile(filepath.Join(dir, "old.ckpt.gz"), gz, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "old"+ckptLegacySuffix), buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "gz"+ckptSuffix), gz, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d := NewDir(dir, 0)
-	got, cached, err := d.Load("old")
-	if err != nil || got == nil || cached {
-		t.Fatalf("legacy load = (%v, cached=%v, err=%v), want an uncached disk hit", got, cached, err)
+	if st, cached, err := d.Load("old"); st != nil || cached || err != nil {
+		t.Errorf("load of a .ckpt.gz-only key = (%v, cached=%v, err=%v), want a plain miss", st, cached, err)
 	}
-	if !reflect.DeepEqual(st, got) {
-		t.Error("legacy on-disk checkpoint decoded lossily through Dir")
+	if st, cached, err := d.Load("gz"); st != nil || cached || err == nil {
+		t.Errorf("load of gzip bytes = (%v, cached=%v, err=%v), want (nil, false, error)", st, cached, err)
+	}
+	if s := d.Stats(); s.Misses != 2 {
+		t.Errorf("stats = %+v, want both loads counted as misses", s)
 	}
 }
 

@@ -5,25 +5,24 @@ import (
 	"testing"
 )
 
-// FuzzBinaryCheckpointDecode throws arbitrary bytes at the sniffing
-// decode path — the exact bytes an on-disk checkpoint file feeds it. The
-// decoder must never panic or over-allocate on hostile input (truncated
-// sections, lying counts, bad intern refs, corrupt gzip headers), and
+// FuzzBinaryCheckpointDecode throws arbitrary bytes at the decode path —
+// the exact bytes an on-disk checkpoint file feeds it. The decoder must
+// never panic or over-allocate on hostile input (truncated sections, lying
+// counts, bad intern refs, foreign formats such as old gzip files), and
 // anything it does accept must re-encode canonically: encode(decode(b))
 // decodes again to the same bytes, the property the content-addressed
 // store depends on.
 func FuzzBinaryCheckpointDecode(f *testing.F) {
+	// Each state seeds its full encoding and that encoding cut off
+	// mid-body, so mutations start from both sides of the bounds checks.
 	seed := func(st *State) {
 		var buf bytes.Buffer
 		if err := Encode(&buf, st); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
-		buf.Reset()
-		if err := encodeLegacyJSON(&buf, st); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		b := buf.Bytes()
+		f.Add(b)
+		f.Add(b[:len(b)/2])
 	}
 	seed(sampleState())
 	for _, kind := range []string{"none", "eip", "rdip", "fnlmma", "nextline"} {
@@ -75,12 +74,8 @@ func FuzzBinarySocketDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	buf.Reset()
-	if err := encodeLegacySocketJSON(&buf, sampleSocketState()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	buf.Reset()
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	buf = bytes.Buffer{}
 	if err := Encode(&buf, sampleState()); err != nil {
 		f.Fatal(err)
 	}

@@ -152,16 +152,22 @@ func TestFabricLeaseExpiry(t *testing.T) {
 	coord := NewCoordinator(Config{LeaseTimeout: 150 * time.Millisecond, SweepEvery: 25 * time.Millisecond})
 	defer coord.Close()
 
-	// The hung worker accepts the job, then blocks forever with its
-	// heartbeat loop suppressed (enormous cadence), so only lease expiry
-	// can recover the job.
+	// The hung worker accepts the job, signals that it holds it, then
+	// blocks forever with its heartbeat loop suppressed (enormous
+	// cadence), so only lease expiry can recover the job.
 	hang := make(chan struct{})
+	held := make(chan struct{})
+	var holdOnce sync.Once
 	hung := &Worker{
 		Name:           "hung",
 		Runner:         harness.NewRunnerWithCheckpoints(1, ckdir),
 		Slots:          1,
 		HeartbeatEvery: time.Hour,
-		BeforeJob:      func(harness.RunSpec) error { <-hang; return nil },
+		BeforeJob: func(harness.RunSpec) error {
+			holdOnce.Do(func() { close(held) })
+			<-hang
+			return nil
+		},
 	}
 	cend, wend := net.Pipe()
 	go coord.HandleConn(cend)
@@ -173,10 +179,7 @@ func TestFabricLeaseExpiry(t *testing.T) {
 
 	// Wait until the hung worker holds the job, then add a healthy
 	// worker; the job must land there after the lease expires.
-	deadline := time.Now().Add(5 * time.Second)
-	for coord.Stats().Cells == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	<-held
 	healthy := &Worker{Name: "healthy", Runner: harness.NewRunnerWithCheckpoints(1, ckdir), Slots: 1, HeartbeatEvery: 20 * time.Millisecond}
 	cend2, wend2 := net.Pipe()
 	go coord.HandleConn(cend2)

@@ -72,6 +72,20 @@ func TestCheckpointBitIdentical(t *testing.T) {
 	})
 }
 
+// TestCheckpointSeededFork forks a spec with a nonzero Seed: the warm
+// state must be built under that seed (and, with a store, filed under the
+// seed's own disk key), or the fork measures an unseeded warmup.
+func TestCheckpointSeededFork(t *testing.T) {
+	spec := QuickOptions().spec("kafka", "pdip44")
+	spec.Seed = 3
+	t.Run("memory", func(t *testing.T) {
+		forkEquals(t, NewRunner(1), spec)
+	})
+	t.Run("disk", func(t *testing.T) {
+		forkEquals(t, NewRunnerWithCheckpoints(1, t.TempDir()), spec)
+	})
+}
+
 // TestRunSingleflight submits the same spec from many goroutines at once
 // and requires exactly one execution: one simulated warmup, one fork. The
 // pre-singleflight Runner would run the spec once per goroutine that got

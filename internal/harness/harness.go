@@ -421,6 +421,7 @@ func (r *Runner) buildWarmState(wk warmKey) (*checkpoint.State, error) {
 		Benchmark:         wk.Benchmark,
 		Policy:            wk.Policy,
 		BTBEntries:        wk.BTBEntries,
+		Seed:              wk.Seed,
 		Warmup:            wk.Warmup,
 		NoFastForward:     wk.NoFastForward,
 		TracePath:         wk.TracePath,

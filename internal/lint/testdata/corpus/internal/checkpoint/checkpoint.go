@@ -2,10 +2,13 @@
 // the corpus sim package's state.
 package checkpoint
 
-// SimState mirrors sim.Machine. Orphan is written by no capture code: the
-// mirror-coverage check must flag it.
-type SimState struct {
-	Cyc    int64
-	Hist   []int64
-	Orphan int // want:checkpointcoverage
+// State mirrors sim.Machine; it is the root of the mirror walk. Orphan is
+// written by no code at all, and Decoded only by this package's own
+// decoder — a decode-side write is not a capture, so the mirror-coverage
+// check must flag both.
+type State struct {
+	Cyc     int64
+	Hist    []int64
+	Orphan  int   // want:checkpointcoverage
+	Decoded int64 // want:checkpointcoverage
 }

@@ -1,9 +1,9 @@
 // dir.go is the host side of the corpus checkpoint package: the store's
 // decoded-state cache bookkeeping. Its structs live next to the mirror
 // tree but are not wire format — no capture code ever writes their
-// fields — so the mirror-coverage walk must skip everything declared
-// outside the serialization files. No markers here: any diagnostic on
-// this file is a regression.
+// fields — so the mirror-coverage walk, which starts at State, must never
+// reach them. No markers here: any diagnostic on this file is a
+// regression.
 package checkpoint
 
 // Store is a decoded-state cache keyed by content address.

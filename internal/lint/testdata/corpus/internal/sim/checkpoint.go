@@ -4,9 +4,9 @@ import "corpus/internal/checkpoint"
 
 // Capture snapshots m into the mirror tree. It deliberately omits
 // Machine.lost (seeding the uncaptured-state-field diagnostic) and writes
-// nothing into SimState.Orphan (seeding the mirror-coverage diagnostic).
-func (m *Machine) Capture() checkpoint.SimState {
-	st := checkpoint.SimState{Cyc: m.cyc}
+// nothing into State.Orphan (seeding the mirror-coverage diagnostic).
+func (m *Machine) Capture() checkpoint.State {
+	st := checkpoint.State{Cyc: m.cyc}
 	for _, e := range m.hist {
 		st.Hist = append(st.Hist, e.V)
 	}
@@ -15,7 +15,7 @@ func (m *Machine) Capture() checkpoint.SimState {
 }
 
 // Restore rebuilds m from st.
-func (m *Machine) Restore(st checkpoint.SimState) {
+func (m *Machine) Restore(st checkpoint.State) {
 	m.cyc = st.Cyc
 	m.hist = m.hist[:0]
 	for _, v := range st.Hist {

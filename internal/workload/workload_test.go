@@ -50,6 +50,9 @@ func TestProgramsGenerateAndExceedL1I(t *testing.T) {
 	}
 }
 
+// TestProgramCaching requires one cached program per generator parameter
+// set: a repeat call shares it, and a variant differing only in fields
+// outside name/seed/size (HardBranchFrac, CondBias) gets its own.
 func TestProgramCaching(t *testing.T) {
 	p, _ := ByName("ycsb")
 	a, err := p.Program()
@@ -59,6 +62,12 @@ func TestProgramCaching(t *testing.T) {
 	b, _ := p.Program()
 	if a != b {
 		t.Fatal("program not cached")
+	}
+	v := p
+	v.CFG.HardBranchFrac += 0.1
+	v.CFG.CondBias -= 0.05
+	if c, _ := v.Program(); c == a {
+		t.Fatal("variant with different HardBranchFrac/CondBias got the base profile's cached program")
 	}
 }
 
