@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build fmt-check vet test race determinism golden check bench clean
-.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-diff perf-smoke trace-suite socket fabric-smoke
+.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-diff perf-smoke trace-suite socket fabric-smoke bench-ab
 
 all: build
 
@@ -125,6 +125,20 @@ bench-diff:
 	$(GO) test -run '^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem . \
 		| $(GO) run ./cmd/benchtrack -diff BENCH_simulator.json -threshold $(BENCH_THRESHOLD) \
 			-threshold-for '^BenchmarkCheckpoint=$(BENCH_CKPT_THRESHOLD)'
+
+# Same-host A/B of the benchmark (perfbench/): the base ref against this
+# checkout, PAIRS interleaved untraced runs of WORKLOAD alternating which
+# side goes first, then `perfbench -compare` and the head's pair wins.
+# BASE defaults to HEAD, which measures uncommitted changes against the
+# last commit. Takes minutes, so it is not part of `make check`; see
+# scripts/bench-ab.sh.
+BASE ?= HEAD
+WORKLOAD ?= fig10-cold
+PAIRS ?= 10
+SECONDS ?= 30
+SEED ?= 0
+bench-ab:
+	bash scripts/bench-ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS) $(SEED)
 
 # Zero-alloc gate: every hot-path micro benchmark must report 0 allocs/op
 # in steady state. The benchtime is iteration-pinned and large enough that

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"pdip/internal/energy"
 	"pdip/internal/stats"
@@ -60,26 +59,25 @@ func ExperimentByID(id string) (Experiment, error) {
 
 func pct(f float64) string { return fmt.Sprintf("%+.2f%%", f*100) }
 
-// speedups runs policy over benchmarks and returns per-benchmark speedups
-// vs baseline plus the geomean.
-func (r *Runner) speedups(o Options, policy string) (map[string]float64, float64, error) {
-	benches := o.benchmarks()
-	out := make(map[string]float64, len(benches))
-	var sp []float64
-	for _, b := range benches {
-		base, err := r.Run(o.spec(b, "baseline"))
-		if err != nil {
-			return nil, 0, err
-		}
-		pol, err := r.Run(o.spec(b, policy))
-		if err != nil {
-			return nil, 0, err
-		}
-		s := stats.Speedup(base.Res.IPC(), pol.Res.IPC())
-		out[b] = s
-		sp = append(sp, s)
+// speedupsOf returns the speedup of each (baseline, policy) pair in res,
+// which alternates a baseline cell with the policy cell it is compared to.
+func speedupsOf(res []*RunResult) []float64 {
+	sp := make([]float64, 0, len(res)/2)
+	for i := 0; i+1 < len(res); i += 2 {
+		sp = append(sp, stats.Speedup(res[i].Res.IPC(), res[i+1].Res.IPC()))
 	}
-	return out, stats.Geomean(sp), nil
+	return sp
+}
+
+// runEach issues policy on every selected benchmark in one RunAll and
+// returns the results in benchmark order.
+func (r *Runner) runEach(o Options, policy string) ([]*RunResult, error) {
+	benches := o.benchmarks()
+	specs := make([]RunSpec, len(benches))
+	for i, b := range benches {
+		specs[i] = o.spec(b, policy)
+	}
+	return r.RunAll(specs)
 }
 
 // Fig1 reproduces the top-down breakdown of cassandra (paper: retiring
@@ -110,28 +108,36 @@ func Fig10(r *Runner, o Options) (string, error) {
 	return r.speedupTable(o, policies)
 }
 
+// speedupTable tabulates each policy's per-benchmark speedup over the
+// baseline plus the geomean. The cells are issued in one RunAll: for each
+// policy, for each benchmark, the baseline cell and then the policy cell.
 func (r *Runner) speedupTable(o Options, policies []string) (string, error) {
-	header := append([]string{"benchmark"}, policies...)
-	t := stats.NewTable(header...)
-	per := make([]map[string]float64, len(policies))
-	geo := make([]float64, len(policies))
-	for i, p := range policies {
-		m, g, err := r.speedups(o, p)
-		if err != nil {
-			return "", err
+	benches := o.benchmarks()
+	specs := make([]RunSpec, 0, 2*len(policies)*len(benches))
+	for _, p := range policies {
+		for _, b := range benches {
+			specs = append(specs, o.spec(b, "baseline"), o.spec(b, p))
 		}
-		per[i], geo[i] = m, g
 	}
-	for _, b := range o.benchmarks() {
+	res, err := r.RunAll(specs)
+	if err != nil {
+		return "", err
+	}
+	per := make([][]float64, len(policies))
+	for i := range policies {
+		per[i] = speedupsOf(res[2*i*len(benches) : 2*(i+1)*len(benches)])
+	}
+	t := stats.NewTable(append([]string{"benchmark"}, policies...)...)
+	for j, b := range benches {
 		row := []string{b}
 		for i := range policies {
-			row = append(row, pct(per[i][b]))
+			row = append(row, pct(per[i][j]))
 		}
 		t.AddRow(row...)
 	}
 	row := []string{"geomean"}
 	for i := range policies {
-		row = append(row, pct(geo[i]))
+		row = append(row, pct(stats.Geomean(per[i])))
 	}
 	t.AddRow(row...)
 	return t.String(), nil
@@ -140,13 +146,14 @@ func (r *Runner) speedupTable(o Options, policies []string) (string, error) {
 // Fig4 reports FEC line share and FEC starvation-cycle share (paper: ~10%
 // of lines cause ~62% of decode starvation on average).
 func Fig4(r *Runner, o Options) (string, error) {
+	all, err := r.runEach(o, "baseline")
+	if err != nil {
+		return "", err
+	}
 	t := stats.NewTable("benchmark", "%FEC lines", "%FEC starvation", "%high-cost", "%hc+backend")
 	var l, s []float64
-	for _, b := range o.benchmarks() {
-		res, err := r.Run(o.spec(b, "baseline"))
-		if err != nil {
-			return "", err
-		}
+	for i, b := range o.benchmarks() {
+		res := all[i]
 		c := &res.Res.Core
 		lineShare := res.Res.FECLinePct()
 		stallShare := res.Res.FECStallShare()
@@ -166,13 +173,14 @@ func Fig4(r *Runner, o Options) (string, error) {
 // Fig9 reports the baseline miss pressure (paper averages: L1I 85.9,
 // L2I 12.4, L3 3.06).
 func Fig9(r *Runner, o Options) (string, error) {
+	all, err := r.runEach(o, "baseline")
+	if err != nil {
+		return "", err
+	}
 	t := stats.NewTable("benchmark", "L1I", "L2I", "L2D", "L3")
 	var a, b2, c, d []float64
-	for _, b := range o.benchmarks() {
-		res, err := r.Run(o.spec(b, "baseline"))
-		if err != nil {
-			return "", err
-		}
+	for i, b := range o.benchmarks() {
+		res := all[i]
 		t.AddRow(b,
 			fmt.Sprintf("%.1f", res.Res.L1IMPKI()),
 			fmt.Sprintf("%.1f", res.Res.L2IMPKI()),
@@ -191,17 +199,19 @@ func Fig9(r *Runner, o Options) (string, error) {
 // Fig11 reports the late-prefetch (partial hit) share for PDIP(44) and
 // EIP(46) (paper: PDIP ~12.6% average).
 func Fig11(r *Runner, o Options) (string, error) {
+	benches := o.benchmarks()
+	specs := make([]RunSpec, 0, 2*len(benches))
+	for _, b := range benches {
+		specs = append(specs, o.spec(b, "pdip44"), o.spec(b, "eip46"))
+	}
+	res, err := r.RunAll(specs)
+	if err != nil {
+		return "", err
+	}
 	t := stats.NewTable("benchmark", "PDIP(44) %late", "EIP(46) %late")
 	var p, e []float64
-	for _, b := range o.benchmarks() {
-		rp, err := r.Run(o.spec(b, "pdip44"))
-		if err != nil {
-			return "", err
-		}
-		re, err := r.Run(o.spec(b, "eip46"))
-		if err != nil {
-			return "", err
-		}
+	for i, b := range benches {
+		rp, re := res[2*i], res[2*i+1]
 		t.AddRow(b, stats.Pct(rp.Res.LatePrefetchRate()), stats.Pct(re.Res.LatePrefetchRate()))
 		p = append(p, rp.Res.LatePrefetchRate())
 		e = append(e, re.Res.LatePrefetchRate())
@@ -214,16 +224,23 @@ func Fig11(r *Runner, o Options) (string, error) {
 // EIP-Analytical 40/45%, PDIP(11) 21/55%, PDIP(44) 32/54%).
 func Tab4(r *Runner, o Options) (string, error) {
 	policies := []string{"eip46", "eip-analytical", "pdip11", "pdip44"}
+	benches := o.benchmarks()
+	specs := make([]RunSpec, 0, len(policies)*len(benches))
+	for _, p := range policies {
+		for _, b := range benches {
+			specs = append(specs, o.spec(b, p))
+		}
+	}
+	all, err := r.RunAll(specs)
+	if err != nil {
+		return "", err
+	}
 	t := stats.NewTable("metric", "EIP(46)", "EIP-Analytical", "PDIP(11)", "PDIP(44)")
 	ppki := []string{"PPKI"}
 	acc := []string{"Accuracy"}
-	for _, p := range policies {
+	for i := range policies {
 		var pv, av []float64
-		for _, b := range o.benchmarks() {
-			res, err := r.Run(o.spec(b, p))
-			if err != nil {
-				return "", err
-			}
+		for _, res := range all[i*len(benches) : (i+1)*len(benches)] {
 			pv = append(pv, res.Res.PPKI())
 			av = append(av, res.Res.PrefetchAccuracy())
 		}
@@ -238,42 +255,38 @@ func Tab4(r *Runner, o Options) (string, error) {
 // Fig12 reports the reduction in FEC stall cycles vs baseline (paper:
 // PDIP ~42% average, EIP ~19%).
 func Fig12(r *Runner, o Options) (string, error) {
-	t := stats.NewTable("benchmark", "PDIP(44)", "EIP(46)", "PDIP(44)+EMISSARY")
-	var p, e, pe []float64
-	reduction := func(bench, pol string) (float64, error) {
-		base, err := r.Run(o.spec(bench, "baseline"))
-		if err != nil {
-			return 0, err
+	policies := []string{"pdip44", "eip46", "pdip44+emissary"}
+	benches := o.benchmarks()
+	specs := make([]RunSpec, 0, 2*len(policies)*len(benches))
+	for _, b := range benches {
+		for _, p := range policies {
+			specs = append(specs, o.spec(b, "baseline"), o.spec(b, p))
 		}
-		res, err := r.Run(o.spec(bench, pol))
-		if err != nil {
-			return 0, err
-		}
+	}
+	res, err := r.RunAll(specs)
+	if err != nil {
+		return "", err
+	}
+	reduction := func(base, pol *RunResult) float64 {
 		b := float64(base.Res.Core.FECStallCycles)
 		if b == 0 {
-			return 0, nil
+			return 0
 		}
-		return 1 - float64(res.Res.Core.FECStallCycles)/b, nil
+		return 1 - float64(pol.Res.Core.FECStallCycles)/b
 	}
-	for _, b := range o.benchmarks() {
-		rp, err := reduction(b, "pdip44")
-		if err != nil {
-			return "", err
+	t := stats.NewTable("benchmark", "PDIP(44)", "EIP(46)", "PDIP(44)+EMISSARY")
+	red := make([][]float64, len(policies))
+	for j, b := range benches {
+		row := []string{b}
+		for i := range policies {
+			k := 2 * (j*len(policies) + i)
+			v := reduction(res[k], res[k+1])
+			red[i] = append(red[i], v)
+			row = append(row, pct(v))
 		}
-		re, err := reduction(b, "eip46")
-		if err != nil {
-			return "", err
-		}
-		rpe, err := reduction(b, "pdip44+emissary")
-		if err != nil {
-			return "", err
-		}
-		t.AddRow(b, pct(rp), pct(re), pct(rpe))
-		p = append(p, rp)
-		e = append(e, re)
-		pe = append(pe, rpe)
+		t.AddRow(row...)
 	}
-	t.AddRow("average", pct(mean(p)), pct(mean(e)), pct(mean(pe)))
+	t.AddRow("average", pct(mean(red[0])), pct(mean(red[1])), pct(mean(red[2])))
 	return t.String(), nil
 }
 
@@ -287,17 +300,17 @@ func Fig13(r *Runner, o Options) (string, error) {
 // (paper: energy 0.25/0.55/0.62/0.64%, area 0.31/0.52/0.96/2.84%).
 func Tab5(r *Runner, o Options) (string, error) {
 	t := stats.NewTable("metric", "PDIP(11)", "PDIP(22)", "PDIP(44)", "PDIP(87)")
+	// Activity factor: table lookups per cycle of cassandra under
+	// PDIP(44). The lookup rate is size-independent (one probe per new FTQ
+	// entry line), so this one run serves every table size.
+	res, err := r.Run(o.spec("cassandra", "pdip44"))
+	if err != nil {
+		return "", err
+	}
+	lookupsPerCycle := float64(res.Res.PQ.Enqueued+res.Res.PQ.Issued) / float64(res.Res.Core.Cycles+1)
 	erow := []string{"Energy"}
 	arow := []string{"Area"}
 	for _, ways := range []int{2, 4, 8, 16} {
-		// Activity factor: table lookups per cycle, averaged over the
-		// benchmark suite with PDIP(44) (lookup rate is size-independent:
-		// one probe per new FTQ entry line).
-		res, err := r.Run(o.spec("cassandra", "pdip44"))
-		if err != nil {
-			return "", err
-		}
-		lookupsPerCycle := float64(res.Res.PQ.Enqueued+res.Res.PQ.Issued) / float64(res.Res.Core.Cycles+1)
 		m := energy.PDIPOverhead(ways, lookupsPerCycle)
 		erow = append(erow, stats.Pct(m.EnergyFrac))
 		arow = append(arow, stats.Pct(m.AreaFrac))
@@ -307,6 +320,13 @@ func Tab5(r *Runner, o Options) (string, error) {
 	return t.String(), nil
 }
 
+// btbSpec is o.spec with the BTB capacity overridden to btb entries.
+func (o Options) btbSpec(bench, pol string, btb int) RunSpec {
+	s := o.spec(bench, pol)
+	s.BTBEntries = btb
+	return s
+}
+
 // fig14BTBs are the swept BTB capacities (entries).
 var fig14BTBs = []int{4096, 8192, 16384, 32768, 65536, 131072}
 
@@ -314,28 +334,25 @@ var fig14BTBs = []int{4096, 8192, 16384, 32768, 65536, 131072}
 // baseline at the same BTB size.
 func Fig14(r *Runner, o Options) (string, error) {
 	policies := []string{"eip46", "pdip11", "pdip44", "pdip44+emissary"}
-	header := append([]string{"BTB entries"}, policies...)
-	t := stats.NewTable(header...)
+	benches := o.benchmarks()
+	specs := make([]RunSpec, 0, 2*len(fig14BTBs)*len(policies)*len(benches))
 	for _, btb := range fig14BTBs {
-		row := []string{fmt.Sprintf("%dK", btb/1024)}
 		for _, p := range policies {
-			var sp []float64
-			for _, b := range o.benchmarks() {
-				bs := o.spec(b, "baseline")
-				bs.BTBEntries = btb
-				base, err := r.Run(bs)
-				if err != nil {
-					return "", err
-				}
-				ps := o.spec(b, p)
-				ps.BTBEntries = btb
-				pol, err := r.Run(ps)
-				if err != nil {
-					return "", err
-				}
-				sp = append(sp, stats.Speedup(base.Res.IPC(), pol.Res.IPC()))
+			for _, b := range benches {
+				specs = append(specs, o.btbSpec(b, "baseline", btb), o.btbSpec(b, p, btb))
 			}
-			row = append(row, pct(stats.Geomean(sp)))
+		}
+	}
+	res, err := r.RunAll(specs)
+	if err != nil {
+		return "", err
+	}
+	t := stats.NewTable(append([]string{"BTB entries"}, policies...)...)
+	for i, btb := range fig14BTBs {
+		row := []string{fmt.Sprintf("%dK", btb/1024)}
+		for j := range policies {
+			k := 2 * (i*len(policies) + j) * len(benches)
+			row = append(row, pct(stats.Geomean(speedupsOf(res[k:k+2*len(benches)]))))
 		}
 		t.AddRow(row...)
 	}
@@ -350,43 +367,43 @@ func Fig15(r *Runner, o Options) (string, error) {
 		storageKB float64
 		gain      float64
 	}
-	var pts []point
+	btbs := []int{4096, 8192, 16384, 32768, 65536}
+	policies := []string{"baseline", "pdip11", "pdip44", "eip46"}
+	benches := o.benchmarks()
+	n := len(benches)
 
-	// Reference: geomean IPC of the 4K-entry-BTB FDIP baseline.
-	refIPC := func() (float64, error) {
-		var ipcs []float64
-		for _, b := range o.benchmarks() {
-			s := o.spec(b, "baseline")
-			s.BTBEntries = 4096
-			res, err := r.Run(s)
-			if err != nil {
-				return 0, err
-			}
-			ipcs = append(ipcs, res.Res.IPC())
-		}
-		return stats.GeomeanIPC(ipcs), nil
+	// The first n cells are the reference, the 4K-entry-BTB FDIP
+	// baseline; then one group of n cells per (BTB size, policy).
+	specs := make([]RunSpec, 0, n*(1+len(btbs)*len(policies)))
+	for _, b := range benches {
+		specs = append(specs, o.btbSpec(b, "baseline", 4096))
 	}
-	ref, err := refIPC()
+	for _, btb := range btbs {
+		for _, pol := range policies {
+			for _, b := range benches {
+				specs = append(specs, o.btbSpec(b, pol, btb))
+			}
+		}
+	}
+	res, err := r.RunAll(specs)
 	if err != nil {
 		return "", err
 	}
-
-	for _, btb := range []int{4096, 8192, 16384, 32768, 65536} {
-		for _, pol := range []string{"baseline", "pdip11", "pdip44", "eip46"} {
-			var ipcs []float64
-			var kb float64
-			for _, b := range o.benchmarks() {
-				s := o.spec(b, pol)
-				s.BTBEntries = btb
-				res, err := r.Run(s)
-				if err != nil {
-					return "", err
-				}
-				ipcs = append(ipcs, res.Res.IPC())
-				kb = res.Res.BTBKB + res.Res.PrefetcherKB
-			}
-			g := stats.GeomeanIPC(ipcs)/ref - 1
-			pts = append(pts, point{fmt.Sprintf("%s@%dK-BTB", pol, btb/1024), kb, g})
+	geomeanIPC := func(group []*RunResult) float64 {
+		ipcs := make([]float64, len(group))
+		for i, g := range group {
+			ipcs[i] = g.Res.IPC()
+		}
+		return stats.GeomeanIPC(ipcs)
+	}
+	ref := geomeanIPC(res[:n])
+	var pts []point
+	for i, btb := range btbs {
+		for j, pol := range policies {
+			group := res[n*(1+i*len(policies)+j) : n*(2+i*len(policies)+j)]
+			last := group[len(group)-1].Res
+			pts = append(pts, point{fmt.Sprintf("%s@%dK-BTB", pol, btb/1024),
+				last.BTBKB + last.PrefetcherKB, geomeanIPC(group)/ref - 1})
 		}
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].storageKB < pts[j].storageKB })
@@ -400,14 +417,14 @@ func Fig15(r *Runner, o Options) (string, error) {
 // Fig16 reports the trigger-class distribution of issued PDIP prefetches
 // (paper: ~89% mispredict triggers, ~11% last-taken).
 func Fig16(r *Runner, o Options) (string, error) {
+	all, err := r.runEach(o, "pdip44")
+	if err != nil {
+		return "", err
+	}
 	t := stats.NewTable("benchmark", "%mispredict triggers", "%last-taken triggers")
 	var m, l []float64
-	for _, b := range o.benchmarks() {
-		res, err := r.Run(o.spec(b, "pdip44"))
-		if err != nil {
-			return "", err
-		}
-		mp, lt := res.Res.TriggerDistribution()
+	for i, b := range o.benchmarks() {
+		mp, lt := all[i].Res.TriggerDistribution()
 		t.AddRow(b, stats.Pct(mp), stats.Pct(lt))
 		m = append(m, mp)
 		l = append(l, lt)
@@ -455,25 +472,29 @@ func TraceCheck(r *Runner, o Options) (string, error) {
 	to.TraceDir = dir
 	to.TraceDifferential = true
 	policies := []string{"baseline", "pdip44", "eip46"}
-	t := stats.NewTable(append([]string{"benchmark", "records"}, policies...)...)
-	for _, b := range o.benchmarks() {
-		rspec := o.spec(b, "baseline")
-		path := filepath.Join(dir, b+".champsim")
-		if err := RecordTrace(rspec, path, 0); err != nil {
+	benches := o.benchmarks()
+	// Record every trace first, then issue each (direct, replay) pair in
+	// one RunAll.
+	specs := make([]RunSpec, 0, 2*len(benches)*len(policies))
+	for _, b := range benches {
+		if err := RecordTrace(o.spec(b, "baseline"), filepath.Join(dir, b+".champsim"), 0); err != nil {
 			return "", err
 		}
-		warmup, measure := rspec.budgets()
-		row := []string{b, fmt.Sprintf("%d", warmup+measure+TraceSlack)}
 		for _, p := range policies {
-			direct, err := r.Run(o.spec(b, p))
-			if err != nil {
-				return "", err
-			}
-			replay, err := r.Run(to.spec(b, p))
-			if err != nil {
-				return "", err
-			}
-			if diff := direct.Metrics.Diff(replay.Metrics); len(diff) > 0 {
+			specs = append(specs, o.spec(b, p), to.spec(b, p))
+		}
+	}
+	res, err := r.RunAll(specs)
+	if err != nil {
+		return "", err
+	}
+	t := stats.NewTable(append([]string{"benchmark", "records"}, policies...)...)
+	for i, b := range benches {
+		warmup, measure := o.spec(b, "baseline").budgets()
+		row := []string{b, fmt.Sprintf("%d", warmup+measure+TraceSlack)}
+		for j := range policies {
+			k := 2 * (i*len(policies) + j)
+			if diff := res[k].Metrics.Diff(res[k+1].Metrics); len(diff) > 0 {
 				row = append(row, fmt.Sprintf("%d diffs", len(diff)))
 			} else {
 				row = append(row, "identical")
@@ -527,20 +548,4 @@ func Contention(r *Runner, o Options) (string, error) {
 		)
 	}
 	return t.String(), nil
-}
-
-// RunAllExperiments runs every registered experiment and concatenates the
-// formatted outputs.
-func RunAllExperiments(r *Runner, o Options) (string, error) {
-	var sb strings.Builder
-	for _, e := range Experiments() {
-		out, err := e.Run(r, o)
-		if err != nil {
-			return sb.String(), fmt.Errorf("%s: %w", e.ID, err)
-		}
-		sb.WriteString("== " + e.Title + " ==\n")
-		sb.WriteString(out)
-		sb.WriteString("\n")
-	}
-	return sb.String(), nil
 }

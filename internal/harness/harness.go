@@ -28,7 +28,9 @@ type Options struct {
 	Warmup, Measure uint64
 	// Benchmarks restricts the benchmark set (nil = all 16).
 	Benchmarks []string
-	// Parallelism bounds concurrent runs (0 = GOMAXPROCS).
+	// Parallelism records the concurrency a caller sized its Runner with.
+	// No experiment reads it: the Runner passed to Experiment.Run is the
+	// only bound on concurrent runs (see NewRunner).
 	Parallelism int
 	// CollectSets enables FEC/coverage set collection on every run.
 	CollectSets bool
@@ -59,13 +61,6 @@ func (o Options) benchmarks() []string {
 		return o.Benchmarks
 	}
 	return workload.Names()
-}
-
-func (o Options) parallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // RunSpec identifies one simulation run.

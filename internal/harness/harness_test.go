@@ -195,9 +195,6 @@ func TestOptionsHelpers(t *testing.T) {
 	if len(o.benchmarks()) != 1 {
 		t.Fatal("subset ignored")
 	}
-	if o.parallelism() <= 0 {
-		t.Fatal("non-positive parallelism")
-	}
 	s := o.spec("kafka", "pdip44")
 	if s.Benchmark != "kafka" || s.Policy != "pdip44" {
 		t.Fatalf("spec %+v", s)
