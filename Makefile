@@ -64,6 +64,7 @@ check-invariant:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheSetVsShadow$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheCheckpointRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bpu -run '^$$' -fuzz '^FuzzTAGEIndexFold$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pdip -run '^$$' -fuzz '^FuzzPDIPTableInsertLookup$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/trace/champsim -run '^$$' -fuzz '^FuzzChampSimDecode$$' -fuzztime=$(FUZZTIME)
@@ -127,8 +128,10 @@ bench-diff:
 			-threshold-for '^BenchmarkCheckpoint=$(BENCH_CKPT_THRESHOLD)'
 
 # Same-host A/B of the benchmark (perfbench/): the base ref against this
-# checkout, PAIRS interleaved untraced runs of WORKLOAD alternating which
-# side goes first, then `perfbench -compare` and the head's pair wins.
+# checkout. For each workload of WORKLOAD (one name or a comma-separated
+# list), PAIRS interleaved untraced runs alternating which side goes
+# first, then that workload's `perfbench -compare` and the head's pair
+# wins.
 # BASE defaults to HEAD, which measures uncommitted changes against the
 # last commit. Takes minutes, so it is not part of `make check`; see
 # scripts/bench-ab.sh.

@@ -13,7 +13,9 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
+	"pdip/internal/checkpoint"
 	"pdip/internal/invariant"
 	"pdip/internal/isa"
 )
@@ -35,26 +37,6 @@ type Config struct {
 	// that many priority-protected ways per set.
 	ProtectedWays int
 }
-
-// Line is one cache block's metadata.
-type Line struct {
-	valid bool
-	tag   uint64
-	lru   uint32
-	// readyAt is the cycle the fill completes; accesses before then are
-	// hits on the in-flight MSHR.
-	readyAt int64
-	// priority is the EMISSARY P-bit.
-	priority bool
-	// prefetched marks a prefetch-initiated fill not yet demand-hit.
-	prefetched bool
-	// owner is the requester that filled the line (shared levels only;
-	// see owner.go). Always zero with owner tracking off.
-	owner uint8
-}
-
-// Priority reports the EMISSARY P-bit (exported for tests).
-func (l *Line) Priority() bool { return l.priority }
 
 // Stats aggregates per-level counters.
 type Stats struct {
@@ -96,11 +78,26 @@ const (
 )
 
 // Cache is one set-associative level.
+//
+// Line metadata lives in the columns of checkpoint.CacheState, one slice
+// per field indexed by slot set*Ways + way, so a capture is one clone per
+// column and a restore one copy per column (checkpoint.go).
 type Cache struct {
 	cfg     Config
-	sets    [][]Line
 	setMask uint64
 	tick    uint32
+
+	tag []uint64
+	lru []uint32
+	// readyAt is the cycle the fill completes; accesses before then are
+	// hits on the in-flight MSHR.
+	readyAt []int64
+	// priority is the EMISSARY P-bit; prefetched marks a prefetch-initiated
+	// fill not yet demand-hit.
+	valid, priority, prefetched checkpoint.Bitmask
+	// owner is the requester that filled each line (shared levels only;
+	// see owner.go). Nil with owner tracking off.
+	owner []uint8
 
 	// inflight holds readyAt deadlines of outstanding fills (the MSHR
 	// file). Pruned lazily against the current cycle, compacting in place
@@ -140,16 +137,17 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 16
 	}
-	c := &Cache{
-		cfg:     cfg,
-		sets:    make([][]Line, numSets),
-		setMask: uint64(numSets - 1),
-	}
-	backing := make([]Line, numSets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return c, nil
+	n := numSets * cfg.Ways
+	return &Cache{
+		cfg:        cfg,
+		setMask:    uint64(numSets - 1),
+		tag:        make([]uint64, n),
+		lru:        make([]uint32, n),
+		readyAt:    make([]int64, n),
+		valid:      checkpoint.NewBitmask(n),
+		priority:   checkpoint.NewBitmask(n),
+		prefetched: checkpoint.NewBitmask(n),
+	}, nil
 }
 
 // MustNew is New for known-good configurations.
@@ -164,24 +162,39 @@ func MustNew(cfg Config) *Cache {
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) addr2set(line isa.Addr) (int, uint64) {
-	v := uint64(line) >> isa.LineShift
-	return int(v & c.setMask), v
+// setOf returns the first slot of line's set and the line's tag.
+func (c *Cache) setOf(line isa.Addr) (base int, tag uint64) {
+	tag = uint64(line) >> isa.LineShift
+	return int(tag&c.setMask) * c.cfg.Ways, tag
 }
 
-func (c *Cache) find(line isa.Addr) *Line {
-	set, tag := c.addr2set(line)
-	for i := range c.sets[set] {
-		if e := &c.sets[set][i]; e.valid && e.tag == tag {
-			return e
+// find returns the slot holding line, or -1 on a miss.
+func (c *Cache) find(line isa.Addr) int {
+	base, tag := c.setOf(line)
+	for i, t := range c.tag[base : base+c.cfg.Ways] {
+		if t == tag && bit(c.valid, base+i) {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// bit reads entry i of a bool column. Slots are never negative, and the
+// unsigned index compiles to a plain shift and mask on the lookup path.
+func bit(b checkpoint.Bitmask, i int) bool { return b[uint(i)/8]>>(uint(i)%8)&1 != 0 }
+
+// setBit writes entry i of a bool column.
+func setBit(b checkpoint.Bitmask, i int, v bool) {
+	if v {
+		b[uint(i)/8] |= 1 << (uint(i) % 8)
+	} else {
+		b[uint(i)/8] &^= 1 << (uint(i) % 8)
+	}
 }
 
 // Contains reports whether line is present (including in-flight fills),
 // without touching LRU state or stats. Prefetch queues use this to probe.
-func (c *Cache) Contains(line isa.Addr) bool { return c.find(line) != nil }
+func (c *Cache) Contains(line isa.Addr) bool { return c.find(line) >= 0 }
 
 // LookupResult describes the outcome of a demand access.
 type LookupResult struct {
@@ -203,7 +216,7 @@ type LookupResult struct {
 func (c *Cache) Access(line isa.Addr, now int64, class Class) LookupResult {
 	c.Stats.Accesses++
 	e := c.find(line)
-	if e == nil {
+	if e < 0 {
 		c.Stats.Misses++
 		if class == ClassInst {
 			c.Stats.InstMisses++
@@ -213,27 +226,27 @@ func (c *Cache) Access(line isa.Addr, now int64, class Class) LookupResult {
 		return LookupResult{}
 	}
 	c.tick++
-	e.lru = c.tick
+	c.lru[e] = c.tick
 	if invariant.Enabled {
 		// LRU stack validity: the just-touched line must be the unique
 		// MRU of its set (tick is monotonic, so a tie or inversion means
 		// a replacement path updated lru out of band).
-		set, _ := c.addr2set(line)
-		for i := range c.sets[set] {
-			if l := &c.sets[set][i]; l != e && l.valid && l.lru >= e.lru {
+		base := e - e%c.cfg.Ways
+		for i := base; i < base+c.cfg.Ways; i++ {
+			if i != e && bit(c.valid, i) && c.lru[i] >= c.lru[e] {
 				invariant.Failf("cache %s: LRU stack broken: touched line %#x is not MRU in its set", c.cfg.Name, uint64(line))
 			}
 		}
 	}
 	res := LookupResult{Hit: true, ReadyAt: now + int64(c.cfg.HitLatency)}
-	if e.readyAt > now {
-		res.ReadyAt = e.readyAt
+	if c.readyAt[e] > now {
+		res.ReadyAt = c.readyAt[e]
 		res.WasInflight = true
 		c.Stats.LateHits++
 	}
-	if e.prefetched {
+	if bit(c.prefetched, e) {
 		res.WasPrefetch = true
-		e.prefetched = false
+		setBit(c.prefetched, e, false)
 		c.Stats.UsefulPrefetches++
 		if res.WasInflight {
 			c.Stats.LatePrefetches++
@@ -317,10 +330,10 @@ type FillOpts struct {
 // the in-flight window. The caller must have checked MSHR availability.
 // It returns the evicted line address, if any valid line was displaced.
 func (c *Cache) Fill(line isa.Addr, now, readyAt int64, opts FillOpts) (evicted isa.Addr, hadVictim bool) {
-	if e := c.find(line); e != nil {
+	if e := c.find(line); e >= 0 {
 		// Already present or in flight; refresh priority at most.
 		if opts.Priority {
-			e.priority = true
+			setBit(c.priority, e, true)
 		}
 		return 0, false
 	}
@@ -345,94 +358,94 @@ func (c *Cache) Fill(line isa.Addr, now, readyAt int64, opts FillOpts) (evicted 
 	if c.Owners != nil {
 		c.Owners[opts.Owner].Fills++
 	}
-	set, tag := c.addr2set(line)
-	victim := c.pickVictim(c.sets[set], now)
-	if invariant.Enabled && (victim < 0 || victim >= len(c.sets[set])) {
-		invariant.Failf("cache %s: victim way %d outside [0, %d)", c.cfg.Name, victim, len(c.sets[set]))
+	base, tag := c.setOf(line)
+	e := c.pickVictim(base, now)
+	if invariant.Enabled && (e < base || e >= base+c.cfg.Ways) {
+		invariant.Failf("cache %s: victim slot %d outside set [%d, %d)", c.cfg.Name, e, base, base+c.cfg.Ways)
 	}
-	e := &c.sets[set][victim]
-	if e.valid {
+	if bit(c.valid, e) {
 		c.Stats.Evictions++
-		if e.prefetched {
+		if bit(c.prefetched, e) {
 			c.Stats.UselessPrefetches++
 		}
-		if c.Owners != nil && e.owner != opts.Owner {
-			c.Owners[e.owner].CrossEvictionsSuffered++
+		if c.Owners != nil && c.owner[e] != opts.Owner {
+			c.Owners[c.owner[e]].CrossEvictionsSuffered++
 			c.Owners[opts.Owner].CrossEvictionsCaused++
 		}
-		evicted = isa.Addr(e.tag << isa.LineShift)
+		evicted = isa.Addr(c.tag[e] << isa.LineShift)
 		hadVictim = true
 	}
 	c.tick++
-	*e = Line{
-		valid:      true,
-		tag:        tag,
-		lru:        c.tick,
-		readyAt:    readyAt,
-		priority:   opts.Priority,
-		prefetched: opts.Prefetch,
-		owner:      opts.Owner,
+	setBit(c.valid, e, true)
+	c.tag[e] = tag
+	c.lru[e] = c.tick
+	c.readyAt[e] = readyAt
+	setBit(c.priority, e, opts.Priority)
+	setBit(c.prefetched, e, opts.Prefetch)
+	if c.Owners != nil {
+		c.owner[e] = opts.Owner
 	}
-	if invariant.Enabled && c.find(line) == nil {
+	if invariant.Enabled && c.find(line) < 0 {
 		invariant.Failf("cache %s: line %#x absent immediately after fill", c.cfg.Name, uint64(line))
 	}
 	return evicted, hadVictim
 }
 
-// pickVictim chooses a way to replace: LRU by default; with EMISSARY
-// enabled, LRU among non-priority lines while the set holds at most
-// ProtectedWays priority lines (falling back to global LRU, clearing the
-// victim's P-bit, when the protection budget is exhausted or every way is
-// priority).
-func (c *Cache) pickVictim(set []Line, now int64) int {
+// pickVictim chooses the slot to replace in the set starting at slot base:
+// LRU by default; with EMISSARY enabled, LRU among non-priority lines while
+// the set holds at most ProtectedWays priority lines (falling back to
+// global LRU, clearing the victim's P-bit, when the protection budget is
+// exhausted or every way is priority).
+func (c *Cache) pickVictim(base int, now int64) int {
+	end := base + c.cfg.Ways
 	// Invalid way first.
-	for i := range set {
-		if !set[i].valid {
+	for i := base; i < end; i++ {
+		if !bit(c.valid, i) {
 			return i
 		}
 	}
 	protect := c.cfg.ProtectedWays
 	if protect > 0 {
 		nPri := 0
-		for i := range set {
-			if set[i].priority {
+		for i := base; i < end; i++ {
+			if bit(c.priority, i) {
 				nPri++
 			}
 		}
-		if nPri <= protect && nPri < len(set) {
+		if nPri <= protect && nPri < c.cfg.Ways {
 			// Protect priority lines: LRU among non-priority ways,
 			// preferring lines that are not mid-fill.
-			if v := lruAmong(set, now, func(l *Line) bool { return !l.priority }); v >= 0 {
+			if v := c.lruAmong(base, now, true); v >= 0 {
 				return v
 			}
 		}
 		// Protection budget exhausted: global LRU, demoting the victim.
-		v := lruAmong(set, now, func(l *Line) bool { return true })
-		set[v].priority = false
+		v := c.lruAmong(base, now, false)
+		setBit(c.priority, v, false)
 		return v
 	}
-	return lruAmong(set, now, func(l *Line) bool { return true })
+	return c.lruAmong(base, now, false)
 }
 
-// lruAmong returns the least-recently-used way satisfying pred, preferring
+// lruAmong returns the least-recently-used slot of the set starting at
+// base, skipping priority lines when skipPriority is set, and preferring
 // lines whose fill has completed (evicting an in-flight line would squash
-// an outstanding fill). Returns -1 if no way satisfies pred.
-func lruAmong(set []Line, now int64, pred func(*Line) bool) int {
+// an outstanding fill). Returns -1 if every way was skipped.
+func (c *Cache) lruAmong(base int, now int64, skipPriority bool) int {
 	best, bestInflight := -1, -1
 	var bestLRU, bestInflightLRU uint32
-	for i := range set {
-		l := &set[i]
-		if !pred(l) {
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if skipPriority && bit(c.priority, i) {
 			continue
 		}
-		if l.readyAt > now {
-			if bestInflight == -1 || l.lru < bestInflightLRU {
-				bestInflight, bestInflightLRU = i, l.lru
+		if c.readyAt[i] > now {
+			if bestInflight == -1 || c.lru[i] < bestInflightLRU {
+				bestInflight, bestInflightLRU = i, c.lru[i]
 			}
 			continue
 		}
-		if best == -1 || l.lru < bestLRU {
-			best, bestLRU = i, l.lru
+		if best == -1 || c.lru[i] < bestLRU {
+			best, bestLRU = i, c.lru[i]
 		}
 	}
 	if best >= 0 {
@@ -443,23 +456,19 @@ func lruAmong(set []Line, now int64, pred func(*Line) bool) int {
 
 // Promote sets the EMISSARY P-bit on a resident line; a miss is a no-op.
 func (c *Cache) Promote(line isa.Addr) {
-	if e := c.find(line); e != nil {
-		e.priority = true
+	if e := c.find(line); e >= 0 {
+		setBit(c.priority, e, true)
 	}
 }
 
 // NumSets returns the set count.
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c *Cache) NumSets() int { return int(c.setMask) + 1 }
 
 // PriorityLines counts resident lines with the P-bit set (test support).
 func (c *Cache) PriorityLines() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].priority {
-				n++
-			}
-		}
+	for i, v := range c.valid {
+		n += bits.OnesCount8(v & c.priority[i])
 	}
 	return n
 }

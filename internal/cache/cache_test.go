@@ -223,14 +223,14 @@ func TestEmissaryInvariantProperty(t *testing.T) {
 			pri := op&0x100 != 0
 			c.Fill(line, int64(i), int64(i), FillOpts{Priority: pri})
 		}
-		for _, set := range c.sets {
+		for set := 0; set < c.NumSets(); set++ {
 			nPri := 0
-			for i := range set {
-				if set[i].valid && set[i].priority {
+			for i := set * c.cfg.Ways; i < (set+1)*c.cfg.Ways; i++ {
+				if bit(c.valid, i) && bit(c.priority, i) {
 					nPri++
 				}
 			}
-			if nPri > len(set) {
+			if nPri > c.cfg.Ways {
 				return false
 			}
 		}

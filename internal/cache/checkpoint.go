@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"pdip/internal/checkpoint"
 )
@@ -9,107 +10,82 @@ import (
 // CaptureCheckpoint captures every line's metadata (tag, LRU stamp,
 // EMISSARY P-bit, in-flight deadline), the MSHR file, the replacement
 // clock, and the level's stats. Geometry (set count, ways) is recorded so
-// a restore into a differently configured cache fails loudly. Lines are
-// emitted into the columnar layout of checkpoint.CacheState, set-major.
+// a restore into a differently configured cache fails loudly. The line
+// columns are the cache's own, so each is one clone.
 func (c *Cache) CaptureCheckpoint() checkpoint.CacheState {
-	n := len(c.sets) * c.cfg.Ways
 	st := checkpoint.CacheState{
-		Sets:        len(c.sets),
+		Sets:        c.NumSets(),
 		Ways:        c.cfg.Ways,
-		Tag:         make([]uint64, 0, n),
-		LRU:         make([]uint32, 0, n),
-		ReadyAt:     make([]int64, 0, n),
-		Valid:       checkpoint.NewBitmask(n),
-		Priority:    checkpoint.NewBitmask(n),
-		Prefetched:  checkpoint.NewBitmask(n),
+		Tag:         slices.Clone(c.tag),
+		LRU:         slices.Clone(c.lru),
+		ReadyAt:     slices.Clone(c.readyAt),
+		Valid:       slices.Clone(c.valid),
+		Priority:    slices.Clone(c.priority),
+		Prefetched:  slices.Clone(c.prefetched),
+		Owner:       slices.Clone(c.owner),
 		Tick:        c.tick,
 		Inflight:    append([]int64(nil), c.inflight...),
 		InflightMin: c.inflightMin,
 		Stats:       checkpoint.CacheStats(c.Stats),
 	}
 	if c.Owners != nil {
-		st.Owner = make([]uint8, 0, n)
 		st.InflightOwner = append([]uint8(nil), c.inflightOwner...)
 		st.Owners = make([]checkpoint.OwnerStats, len(c.Owners))
 		for i, o := range c.Owners {
 			st.Owners[i] = checkpoint.OwnerStats(o)
 		}
 	}
-	k := 0
-	for _, set := range c.sets {
-		for i := range set {
-			l := &set[i]
-			st.Tag = append(st.Tag, l.tag)
-			st.LRU = append(st.LRU, l.lru)
-			st.ReadyAt = append(st.ReadyAt, l.readyAt)
-			if l.valid {
-				st.Valid.Set(k)
-			}
-			if l.priority {
-				st.Priority.Set(k)
-			}
-			if l.prefetched {
-				st.Prefetched.Set(k)
-			}
-			if c.Owners != nil {
-				st.Owner = append(st.Owner, l.owner)
-			}
-			k++
-		}
-	}
 	return st
 }
 
 // RestoreCheckpoint overwrites the cache's state from a captured state.
-// The receiver must have been built with the same geometry. Slices from
-// st are copied, never aliased, so one checkpoint can restore many caches
-// concurrently.
+// The receiver must have been built with the same geometry and owner
+// tracking, and every column must be exactly as long as that geometry
+// needs: a corrupt state is refused before anything is written. Slices
+// from st are copied, never aliased, so one checkpoint can restore many
+// caches concurrently.
 func (c *Cache) RestoreCheckpoint(st checkpoint.CacheState) error {
-	if st.Sets != len(c.sets) || st.Ways != c.cfg.Ways {
+	if st.Sets != c.NumSets() || st.Ways != c.cfg.Ways {
 		return fmt.Errorf("cache %s: checkpoint geometry %dx%d, cache is %dx%d",
-			c.cfg.Name, st.Sets, st.Ways, len(c.sets), c.cfg.Ways)
+			c.cfg.Name, st.Sets, st.Ways, c.NumSets(), c.cfg.Ways)
 	}
-	n := st.Sets * st.Ways
-	if len(st.Tag) != n || len(st.LRU) != n || len(st.ReadyAt) != n {
-		return fmt.Errorf("cache %s: checkpoint has %d/%d/%d tag/lru/readyAt entries, want %d",
-			c.cfg.Name, len(st.Tag), len(st.LRU), len(st.ReadyAt), n)
-	}
-	if st.Valid.Len() < n || st.Priority.Len() < n || st.Prefetched.Len() < n {
-		return fmt.Errorf("cache %s: checkpoint bitmask shorter than %d lines", c.cfg.Name, n)
-	}
+	wantInflightOwners := 0
 	if c.Owners != nil {
-		if len(st.Owner) != n {
-			return fmt.Errorf("cache %s: owner-tracked restore needs %d owner entries, checkpoint has %d",
-				c.cfg.Name, n, len(st.Owner))
-		}
-		if len(st.InflightOwner) != len(st.Inflight) {
-			return fmt.Errorf("cache %s: checkpoint has %d in-flight owners for %d in-flight fills",
-				c.cfg.Name, len(st.InflightOwner), len(st.Inflight))
-		}
-		if len(st.Owners) != len(c.Owners) {
-			return fmt.Errorf("cache %s: checkpoint tracks %d owners, cache tracks %d",
-				c.cfg.Name, len(st.Owners), len(c.Owners))
-		}
-	} else if st.Owner != nil {
-		return fmt.Errorf("cache %s: checkpoint carries owner columns but owner tracking is off", c.cfg.Name)
+		wantInflightOwners = len(st.Inflight)
 	}
-	k := 0
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = Line{
-				valid:      st.Valid.Get(k),
-				tag:        st.Tag[k],
-				lru:        st.LRU[k],
-				readyAt:    st.ReadyAt[k],
-				priority:   st.Priority.Get(k),
-				prefetched: st.Prefetched.Get(k),
-			}
-			if c.Owners != nil {
-				set[i].owner = st.Owner[k]
-			}
-			k++
+	for _, col := range []struct {
+		name      string
+		got, want int
+	}{
+		{"tag", len(st.Tag), len(c.tag)},
+		{"lru", len(st.LRU), len(c.lru)},
+		{"readyAt", len(st.ReadyAt), len(c.readyAt)},
+		{"valid bitmask", len(st.Valid), len(c.valid)},
+		{"priority bitmask", len(st.Priority), len(c.priority)},
+		{"prefetched bitmask", len(st.Prefetched), len(c.prefetched)},
+		{"owner", len(st.Owner), len(c.owner)},
+		{"in-flight owner", len(st.InflightOwner), wantInflightOwners},
+		{"per-owner stats", len(st.Owners), len(c.Owners)},
+	} {
+		if col.got != col.want {
+			return fmt.Errorf("cache %s: checkpoint %s column has %d entries, want %d",
+				c.cfg.Name, col.name, col.got, col.want)
 		}
 	}
+	for _, owners := range [][]uint8{st.Owner, st.InflightOwner} {
+		for _, o := range owners {
+			if int(o) >= len(c.Owners) {
+				return fmt.Errorf("cache %s: checkpoint owner %d outside 0..%d", c.cfg.Name, o, len(c.Owners)-1)
+			}
+		}
+	}
+	copy(c.tag, st.Tag)
+	copy(c.lru, st.LRU)
+	copy(c.readyAt, st.ReadyAt)
+	copy(c.valid, st.Valid)
+	copy(c.priority, st.Priority)
+	copy(c.prefetched, st.Prefetched)
+	copy(c.owner, st.Owner)
 	c.tick = st.Tick
 	c.inflight = append(c.inflight[:0], st.Inflight...)
 	c.inflightMin = st.InflightMin
@@ -118,14 +94,8 @@ func (c *Cache) RestoreCheckpoint(st checkpoint.CacheState) error {
 		c.inflightOwner = append(c.inflightOwner[:0], st.InflightOwner...)
 		// Per-owner occupancy is derived: recount it from the restored
 		// owner column rather than trusting a redundant encoding.
-		for i := range c.ownerUsed {
-			c.ownerUsed[i] = 0
-		}
+		clear(c.ownerUsed)
 		for _, o := range c.inflightOwner {
-			if int(o) >= len(c.ownerUsed) {
-				return fmt.Errorf("cache %s: checkpoint in-flight owner %d outside 0..%d",
-					c.cfg.Name, o, len(c.ownerUsed)-1)
-			}
 			c.ownerUsed[o]++
 		}
 		for i := range c.Owners {

@@ -52,3 +52,53 @@ func FuzzCacheSetVsShadow(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCacheCheckpointRoundTrip checks that a restore overwrites every
+// column. Caches A and B run different fuzzer-chosen operation sequences
+// (applyOp: accesses, fills, prefetch fills, promotions), then A's capture
+// is restored into the used cache B. B's capture must equal A's column by
+// column, and a shared operation tail must give identical outcomes on B
+// and on a fresh cache restored from the same state. The first byte picks
+// the geometry: EMISSARY-protected, owner-tracked, or both.
+func FuzzCacheCheckpointRoundTrip(f *testing.F) {
+	for g := byte(0); g < numGeoms; g++ {
+		f.Add(append([]byte{g}, pattern(120, 37, 11)...))
+		f.Add(append([]byte{g}, pattern(90, 0x91, 0x42)...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		geom := int(data[0]) % numGeoms
+		ops := data[1:]
+		third := len(ops) / 6 * 2 // an even number of bytes per sequence
+		seqA, seqB, tail := ops[:third], ops[third:2*third], ops[2*third:]
+
+		a, b := newCkCache(t, geom), newCkCache(t, geom)
+		_, nowA := drive(a, 1, seqA)
+		drive(b, 1, seqB)
+		st := a.CaptureCheckpoint()
+		if err := b.RestoreCheckpoint(st); err != nil {
+			t.Fatalf("restore into used cache: %v", err)
+		}
+		if diff := columnDiff(st, b.CaptureCheckpoint()); len(diff) > 0 {
+			t.Fatalf("used cache differs from the restored state in %v", diff)
+		}
+		fresh := newCkCache(t, geom)
+		if err := fresh.RestoreCheckpoint(st); err != nil {
+			t.Fatalf("restore into fresh cache: %v", err)
+		}
+		// Resume where A stopped: the restored state runs on A's clock.
+		gotB, _ := drive(b, nowA, tail)
+		gotFresh, _ := drive(fresh, nowA, tail)
+		for i := range gotB {
+			if gotB[i] != gotFresh[i] {
+				t.Fatalf("tail op %d (%#x %#x): used cache %+v, fresh cache %+v",
+					i, tail[2*i], tail[2*i+1], gotB[i], gotFresh[i])
+			}
+		}
+		if diff := columnDiff(fresh.CaptureCheckpoint(), b.CaptureCheckpoint()); len(diff) > 0 {
+			t.Fatalf("after the tail the used and fresh caches differ in %v", diff)
+		}
+	})
+}

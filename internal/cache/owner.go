@@ -48,6 +48,7 @@ func (c *Cache) EnableOwnerTracking(owners, reserve int) error {
 		return fmt.Errorf("cache %s: owner tracking must be enabled before use", c.cfg.Name)
 	}
 	c.Owners = make([]OwnerStats, owners)
+	c.owner = make([]uint8, len(c.tag))
 	c.ownerReserve = reserve
 	c.ownerUsed = make([]int, owners)
 	c.inflightOwner = make([]uint8, 0, c.cfg.MSHRs)

@@ -193,9 +193,13 @@ var checkpointManifest = map[string]map[string]string{
 	},
 
 	"cache.Cache": {
-		"cfg": "config", "sets": "state",
+		"cfg":     "config",
 		"setMask": "derived",
-		"tick":    "state", "inflight": "state", "inflightMin": "state",
+		// Line metadata: the columns of checkpoint.CacheState.
+		"tag": "state", "lru": "state", "readyAt": "state",
+		"valid": "state", "priority": "state", "prefetched": "state",
+		"owner": "state",
+		"tick":  "state", "inflight": "state", "inflightMin": "state",
 		"Stats": "state",
 		// Owner tracking (shared levels): the owner columns are state; the
 		// per-owner occupancy is recounted from InflightOwner at restore,
@@ -279,11 +283,6 @@ var checkpointManifest = map[string]map[string]string{
 		"trig": "state", "lru": "state",
 	},
 
-	"cache.Line": {
-		"valid": "state", "tag": "state", "lru": "state",
-		"readyAt": "state", "priority": "state", "prefetched": "state",
-		"owner": "state",
-	},
 	"cache.OwnerStats": {
 		"Fills": "state", "MSHRSteals": "state",
 		"DelayedFills": "state", "DelayCycles": "state",

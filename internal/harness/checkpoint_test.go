@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -230,4 +232,72 @@ func TestCheckpointSharedDirCache(t *testing.T) {
 	if sum.Checkpoint.DirCacheHits != 1 || sum.Checkpoint.WarmupsExecuted != 1 {
 		t.Errorf("aggregated stats: %+v (want the cache fork to survive aggregation)", sum.Checkpoint)
 	}
+}
+
+// measurePhaseFields lists the RunSpec fields that act only after warmup,
+// so specs differing in them fork one shared warm state.
+var measurePhaseFields = map[string]bool{"Measure": true, "SampleEvery": true, "CollectSets": true}
+
+// TestWarmKeyCoversRunSpec audits warmKey against RunSpec by reflection.
+// Every RunSpec field must either be a warmKey field that warmKeyOf
+// projects (changing the field changes the key) or be on the measure-phase
+// list (changing it leaves the key alone). A new RunSpec field that shapes
+// the warm state but is missing from warmKey would let two specs silently
+// fork the same warm checkpoint; this test names it instead.
+func TestWarmKeyCoversRunSpec(t *testing.T) {
+	base := RunSpec{Benchmark: "kafka", Policy: "baseline", Warmup: 20_000, Measure: 60_000}
+	specType, keyType := reflect.TypeOf(base), reflect.TypeOf(warmKey{})
+	for i := 0; i < specType.NumField(); i++ {
+		name := specType.Field(i).Name
+		_, inKey := keyType.FieldByName(name)
+		switch {
+		case inKey && measurePhaseFields[name]:
+			t.Errorf("RunSpec.%s is both a warmKey field and on the measure-phase list", name)
+			continue
+		case !inKey && !measurePhaseFields[name]:
+			t.Errorf("RunSpec.%s is neither in warmKey nor on the measure-phase list: decide whether it shapes the warm state", name)
+			continue
+		}
+		changed := base
+		v := reflect.ValueOf(&changed).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		default:
+			t.Fatalf("RunSpec.%s has kind %s, which this audit cannot perturb", name, v.Kind())
+		}
+		moved := warmKeyOf(changed) != warmKeyOf(base)
+		if inKey && !moved {
+			t.Errorf("RunSpec.%s is a warmKey field but warmKeyOf ignores it", name)
+		}
+		if !inKey && moved {
+			t.Errorf("measure-phase field RunSpec.%s changes the warm key", name)
+		}
+	}
+	var stale []string
+	for i := 0; i < keyType.NumField(); i++ {
+		if name := keyType.Field(i).Name; !hasField(specType, name) {
+			stale = append(stale, "warmKey."+name)
+		}
+	}
+	for name := range measurePhaseFields {
+		if !hasField(specType, name) {
+			stale = append(stale, "measure-phase "+name)
+		}
+	}
+	sort.Strings(stale)
+	for _, s := range stale {
+		t.Errorf("%s names no RunSpec field", s)
+	}
+}
+
+func hasField(t reflect.Type, name string) bool {
+	_, ok := t.FieldByName(name)
+	return ok
 }
