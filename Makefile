@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheCheckpointRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bpu -run '^$$' -fuzz '^FuzzTAGEIndexFold$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pdip -run '^$$' -fuzz '^FuzzPDIPTableInsertLookup$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzWalkerFill$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/trace/champsim -run '^$$' -fuzz '^FuzzChampSimDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzBinaryCheckpointDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzBinarySocketDecode$$' -fuzztime=$(FUZZTIME)

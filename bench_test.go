@@ -245,6 +245,24 @@ func BenchmarkWalker(b *testing.B) {
 	}
 }
 
+// BenchmarkCFGGenerate measures workload generation alone: one
+// cfg.Generate of the cassandra profile's program (about 122K blocks) per
+// op. Programs are cached per profile in a run, so this cost is paid once
+// per benchmark and process; it dominates a grid's setup time.
+func BenchmarkCFGGenerate(b *testing.B) {
+	prof, err := workload.ByName("cassandra")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cfg.Generate(prof.CFG); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- per-stage micro-benches (EXPERIMENTS.md before/after table) ---
 //
 // These isolate the three hot paths the pipeline/port refactor touched:

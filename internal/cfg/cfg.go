@@ -147,6 +147,14 @@ type Terminator struct {
 	// Kind is the branch kind of the block's final instruction;
 	// isa.NotBranch means pure fall-through into the next block.
 	Kind isa.BranchKind
+	// Dispatch marks the driver loop's indirect call: its target is the
+	// entry of a request handler chosen by the walker's dispatch policy
+	// rather than from the indirect targets.
+	Dispatch bool
+
+	// indOff and indN locate the indirect targets of indirect
+	// jumps/calls in Program.indTargets (see Program.IndTargets).
+	indOff, indN int32
 
 	// TakenBlock is the target block ID for direct branches (CondDirect
 	// taken-target, UncondDirect, DirectCall).
@@ -157,18 +165,11 @@ type Terminator struct {
 	// LoopTrip, if > 0, marks a CondDirect loop back-edge taken exactly
 	// LoopTrip-1 consecutive times then not taken (trip count LoopTrip).
 	LoopTrip int
-
-	// IndTargets are the target block IDs of indirect jumps/calls, chosen
-	// uniformly at walk time.
-	IndTargets []int
-
-	// Dispatch marks the driver loop's indirect call: its target is the
-	// entry of a request handler chosen by the walker's dispatch policy
-	// rather than from IndTargets.
-	Dispatch bool
 }
 
-// Block is one basic block.
+// Block is one basic block. Blocks hold no pointers: a block's
+// instruction sizes live in the program-wide column Program.InstSizes
+// reads, so the GC never scans Program.Blocks.
 type Block struct {
 	// ID is the block's index in Program.Blocks.
 	ID int
@@ -176,32 +177,29 @@ type Block struct {
 	Func int
 	// Addr is the address of the block's first instruction.
 	Addr isa.Addr
-	// InstSizes holds the byte size of each instruction in order; the
-	// final instruction is the terminator when Term.Kind != NotBranch.
-	InstSizes []uint8
+	// sizeOff and nInsts locate the block's instruction sizes in
+	// Program.instSizes; the final instruction is the terminator when
+	// Term.Kind != NotBranch.
+	sizeOff, nInsts int32
+	// bytes is the block size in bytes and lastSize the size of its final
+	// instruction, stored so End and LastPC need no walk over the sizes.
+	bytes    int32
+	lastSize uint8
 	// Term describes the block's control-flow exit.
 	Term Terminator
 }
 
 // NumInsts returns the number of instructions in the block.
-func (b *Block) NumInsts() int { return len(b.InstSizes) }
+func (b *Block) NumInsts() int { return int(b.nInsts) }
 
 // Size returns the block size in bytes.
-func (b *Block) Size() int {
-	n := 0
-	for _, s := range b.InstSizes {
-		n += int(s)
-	}
-	return n
-}
+func (b *Block) Size() int { return int(b.bytes) }
 
 // End returns the address one past the last byte of the block.
-func (b *Block) End() isa.Addr { return b.Addr + isa.Addr(b.Size()) }
+func (b *Block) End() isa.Addr { return b.Addr + isa.Addr(b.bytes) }
 
 // LastPC returns the address of the block's final instruction.
-func (b *Block) LastPC() isa.Addr {
-	return b.End() - isa.Addr(b.InstSizes[len(b.InstSizes)-1])
-}
+func (b *Block) LastPC() isa.Addr { return b.End() - isa.Addr(b.lastSize) }
 
 // Func is one function: a contiguous run of blocks.
 type Func struct {
@@ -228,6 +226,12 @@ type Program struct {
 	Funcs  []Func
 	// Entry is the block ID where execution starts.
 	Entry int
+
+	// instSizes holds every block's instruction sizes in block order and
+	// indTargets every indirect terminator's target block IDs; blocks
+	// locate their share by offset and count.
+	instSizes  []uint8
+	indTargets []int
 
 	// blockStarts caches block start addresses for BlockAt binary search.
 	blockStarts []isa.Addr
@@ -259,6 +263,12 @@ func Generate(p Params) (*Program, error) {
 	}
 	r := rng.New(p.Seed)
 	prog := &Program{Params: p}
+	// Size the block and size columns for the expected program, with
+	// 1/16 headroom, so generation fills them without regrowing (append
+	// still grows them should a seed run long).
+	estBlocks := int(float64(p.NumFuncs)*p.BlocksPerFuncMean) * 17 / 16
+	prog.Blocks = make([]Block, 0, estBlocks)
+	prog.instSizes = make([]uint8, 0, int(float64(estBlocks)*p.InstsPerBlockMean))
 
 	// layerOf interleaves layers in index (and therefore address) space
 	// with fractions 8/4/2/1/1 per 16 functions, so call-locality
@@ -284,23 +294,25 @@ func Generate(p Params) (*Program, error) {
 	// so returns are RAS-predictable; the dispatch indirect call is the
 	// (realistically) hard-to-predict site.
 	addr := p.CodeBase
-	{
-		mkBlock := func(nInsts int) Block {
-			sizes := make([]uint8, nInsts)
-			for i := range sizes {
-				sizes[i] = uint8(2 + r.Intn(6))
-			}
-			blk := Block{ID: len(prog.Blocks), Func: 0, Addr: addr, InstSizes: sizes}
-			addr += isa.Addr(blk.Size())
-			prog.Blocks = append(prog.Blocks, blk)
-			return blk
+	// addBlock appends a block of nInsts instructions to function f at
+	// addr, drawing each size x86-like: 2..7 bytes, mean ~4.
+	addBlock := func(f, nInsts int) {
+		blk := Block{ID: len(prog.Blocks), Func: f, Addr: addr,
+			sizeOff: int32(len(prog.instSizes)), nInsts: int32(nInsts)}
+		for i := 0; i < nInsts; i++ {
+			sz := uint8(2 + r.Intn(6))
+			prog.instSizes = append(prog.instSizes, sz)
+			blk.bytes += int32(sz)
+			blk.lastSize = sz
 		}
-		mkBlock(4)
-		mkBlock(3)
-		prog.Blocks[0].Term = Terminator{Kind: isa.IndirectCall, Dispatch: true}
-		prog.Blocks[1].Term = Terminator{Kind: isa.UncondDirect, TakenBlock: 0}
-		prog.Funcs = append(prog.Funcs, Func{ID: 0, FirstBlock: 0, NumBlocks: 2, Layer: 0})
+		addr += isa.Addr(blk.bytes)
+		prog.Blocks = append(prog.Blocks, blk)
 	}
+	addBlock(0, 4)
+	addBlock(0, 3)
+	prog.Blocks[0].Term = Terminator{Kind: isa.IndirectCall, Dispatch: true}
+	prog.Blocks[1].Term = Terminator{Kind: isa.UncondDirect, TakenBlock: 0}
+	prog.Funcs = append(prog.Funcs, Func{ID: 0, FirstBlock: 0, NumBlocks: 2, Layer: 0})
 	for f := 1; f < p.NumFuncs; f++ {
 		align := isa.Addr(p.FuncAlign)
 		addr = (addr + align - 1) &^ (align - 1)
@@ -311,20 +323,7 @@ func Generate(p Params) (*Program, error) {
 		fn := Func{ID: f, FirstBlock: len(prog.Blocks), NumBlocks: nBlocks, Layer: layerOf(f)}
 		fn.Hot = r.Bool(p.HotFuncFrac)
 		for b := 0; b < nBlocks; b++ {
-			nInsts := r.Geometric(p.InstsPerBlockMean, int(p.InstsPerBlockMean*5)+2)
-			sizes := make([]uint8, nInsts)
-			for i := range sizes {
-				// x86-like: 2..7 bytes, mean ~4.
-				sizes[i] = uint8(2 + r.Intn(6))
-			}
-			blk := Block{
-				ID:        len(prog.Blocks),
-				Func:      f,
-				Addr:      addr,
-				InstSizes: sizes,
-			}
-			addr += isa.Addr(blk.Size())
-			prog.Blocks = append(prog.Blocks, blk)
+			addBlock(f, r.Geometric(p.InstsPerBlockMean, int(p.InstsPerBlockMean*5)+2))
 		}
 		prog.Funcs = append(prog.Funcs, fn)
 	}
@@ -456,22 +455,22 @@ func (prog *Program) genTerminator(r *rng.RNG, fn *Func, b int, weights []float6
 		}
 		// Forward-only, like UncondDirect: switch dispatch to later arms,
 		// spread a little wider than plain jumps.
-		t.IndTargets = make([]int, n)
-		for i := range t.IndTargets {
+		t.indOff, t.indN = int32(len(prog.indTargets)), int32(n)
+		for i := 0; i < n; i++ {
 			skip := r.Geometric(5, 16)
 			if max := fn.NumBlocks - b - 1; skip > max {
 				skip = max
 			}
-			t.IndTargets[i] = fn.FirstBlock + b + skip
+			prog.indTargets = append(prog.indTargets, fn.FirstBlock+b+skip)
 		}
 	case isa.IndirectCall:
 		n := prog.Params.IndirectTargets
 		if n < 2 {
 			n = 2
 		}
-		t.IndTargets = make([]int, n)
-		for i := range t.IndTargets {
-			t.IndTargets[i] = prog.Funcs[prog.pickCallee(r, fn.ID)].FirstBlock
+		t.indOff, t.indN = int32(len(prog.indTargets)), int32(n)
+		for i := 0; i < n; i++ {
+			prog.indTargets = append(prog.indTargets, prog.Funcs[prog.pickCallee(r, fn.ID)].FirstBlock)
 		}
 	case isa.Return:
 	}
@@ -536,6 +535,22 @@ func (prog *Program) SnapToLayer(idx, layer int) int {
 		}
 	}
 	return -1
+}
+
+// InstSizes returns the byte size of each of b's instructions in order; the
+// final one is the terminator when b.Term.Kind != NotBranch. b must be a
+// block of prog. The slice aliases the program and must not be modified.
+func (prog *Program) InstSizes(b *Block) []uint8 {
+	end := b.sizeOff + b.nInsts
+	return prog.instSizes[b.sizeOff:end:end]
+}
+
+// IndTargets returns the target block IDs of an indirect jump/call
+// terminator of prog, chosen at walk time (empty for every other kind).
+// The slice aliases the program and must not be modified.
+func (prog *Program) IndTargets(t *Terminator) []int {
+	end := t.indOff + t.indN
+	return prog.indTargets[t.indOff:end:end]
 }
 
 // HotHandlers returns the hot layer-0 dispatch targets.

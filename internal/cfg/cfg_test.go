@@ -76,7 +76,7 @@ func TestLayerDAG(t *testing.T) {
 			if blk.Term.Dispatch {
 				continue
 			}
-			for _, tgt := range blk.Term.IndTargets {
+			for _, tgt := range prog.IndTargets(&blk.Term) {
 				callee := prog.Funcs[prog.Blocks[tgt].Func]
 				if callee.Layer != caller.Layer+1 {
 					t.Fatalf("indirect call from layer %d to layer %d", caller.Layer, callee.Layer)
@@ -107,7 +107,7 @@ func TestForwardOnlyJumps(t *testing.T) {
 				t.Fatalf("unconditional backward/self jump at block %d", blk.ID)
 			}
 		case isa.IndirectJump:
-			for _, tgt := range blk.Term.IndTargets {
+			for _, tgt := range prog.IndTargets(&blk.Term) {
 				if tgt <= blk.ID {
 					t.Fatalf("indirect backward/self jump at block %d", blk.ID)
 				}
@@ -140,7 +140,7 @@ func TestBlockAt(t *testing.T) {
 	for bi := range prog.Blocks {
 		blk := &prog.Blocks[bi]
 		pc := blk.Addr
-		for _, sz := range blk.InstSizes {
+		for _, sz := range prog.InstSizes(blk) {
 			got := prog.BlockAt(pc)
 			if got == nil || got.ID != blk.ID {
 				t.Fatalf("BlockAt(%v) did not find block %d", pc, blk.ID)

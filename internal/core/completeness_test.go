@@ -240,6 +240,8 @@ var checkpointManifest = map[string]map[string]string{
 		// cur is captured as a block ID and re-resolved into prog.
 		"cur":     "state",
 		"instIdx": "state", "lostPC": "state", "wrongPath": "state",
+		// pc is re-derived from cur and instIdx on restore.
+		"pc":             "derived",
 		"dispatchCenter": "state", "count": "state",
 	},
 	"prefetch.Stats": {
@@ -318,7 +320,8 @@ var checkpointManifest = map[string]map[string]string{
 	// state (captured as a block ID re-resolved into the program).
 	"cfg.Block": {
 		"ID": "config", "Func": "config", "Addr": "config",
-		"InstSizes": "config", "Term": "config",
+		"sizeOff": "config", "nInsts": "config", "bytes": "config",
+		"lastSize": "config", "Term": "config",
 	},
 	// ChampSim trace replay: the trace file is reconstruction input, the
 	// stream position and derived-wrong-path structures are the state

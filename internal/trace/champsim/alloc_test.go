@@ -65,10 +65,12 @@ func TestWrongPathAllocs(t *testing.T) {
 	// First fork allocates the adapter; recycled ones must not.
 	free := src.ForkWrong(nil, 0)
 	var sink uint64
+	buf := make([]isa.Inst, 0, 16)
 	avg := testing.AllocsPerRun(50, func() {
 		w := src.ForkWrong(free, isa.Addr(pc))
 		for i := 0; i < 64; i++ {
-			sink += uint64(w.Next().PC)
+			buf = w.Fill(buf[:0], cap(buf))
+			sink += uint64(buf[0].PC)
 		}
 		free = w
 	})

@@ -67,7 +67,7 @@ func FuzzChampSimDecode(f *testing.F) {
 				// Exercise the derived wrong path from a mid-stream PC.
 				w := src.ForkWrong(nil, in.PC)
 				for j := 0; j < 64; j++ {
-					wrong = w.Next()
+					wrong = nextOf(w)
 				}
 			}
 		}

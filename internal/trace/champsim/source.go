@@ -183,7 +183,24 @@ func (s *Source) decodeNext() isa.Inst {
 	return in
 }
 
-// Next implements trace.Source.
+// fill implements trace.Source.Fill over a per-instruction decode: it
+// appends src.Next() to dst until a branch or len(dst) == max.
+func fill[S interface{ Next() isa.Inst }](src S, dst []isa.Inst, max int) []isa.Inst {
+	for len(dst) < max {
+		in := src.Next()
+		dst = append(dst, in)
+		if in.Kind.IsBranch() {
+			break
+		}
+	}
+	return dst
+}
+
+// Fill implements trace.Source by decoding one instruction at a time, so
+// differential mode still compares every instruction.
+func (s *Source) Fill(dst []isa.Inst, max int) []isa.Inst { return fill(s, dst, max) }
+
+// Next decodes the stream's next instruction and advances past it.
 func (s *Source) Next() isa.Inst {
 	got := s.decodeNext()
 	if s.shadow == nil {
@@ -255,7 +272,10 @@ type Wrong struct {
 	ras rasMirror
 }
 
-// Next implements trace.Source.
+// Fill implements trace.Source by replaying one instruction at a time.
+func (w *Wrong) Fill(dst []isa.Inst, max int) []isa.Inst { return fill(w, dst, max) }
+
+// Next replays the wrong path's next instruction and advances past it.
 func (w *Wrong) Next() isa.Inst {
 	in, ok := w.src.dec.lookup(w.pc)
 	if !ok {

@@ -149,11 +149,11 @@ func TestWrongPathDerivation(t *testing.T) {
 	w1 := src.ForkWrong(nil, lastPC)
 	var stream []isa.Inst
 	for i := 0; i < 200; i++ {
-		stream = append(stream, w1.Next())
+		stream = append(stream, nextOf(w1))
 	}
 	w2 := src.ForkWrong(nil, lastPC)
 	for i := 0; i < 200; i++ {
-		if got := w2.Next(); got != stream[i] {
+		if got := nextOf(w2); got != stream[i] {
 			t.Fatalf("wrong-path fork %d diverged from its twin: %+v vs %+v", i, got, stream[i])
 		}
 	}
@@ -161,7 +161,7 @@ func TestWrongPathDerivation(t *testing.T) {
 	// An unvisited PC must fetch linearly, never panic or wander.
 	wl := src.ForkWrong(nil, 0x7fff_0000)
 	for i := 0; i < 16; i++ {
-		in := wl.Next()
+		in := nextOf(wl)
 		if in.Kind != isa.NotBranch || in.PC != 0x7fff_0000+isa.Addr(4*i) {
 			t.Fatalf("linear degradation broken at %d: %+v", i, in)
 		}
@@ -201,7 +201,7 @@ func TestSourceCheckpointRoundTrip(t *testing.T) {
 	// agree (the decode cache travelled through the checkpoint).
 	wa, wb := src.ForkWrong(nil, lastPC), fork.ForkWrong(nil, lastPC)
 	for i := 0; i < 200; i++ {
-		a, b := wa.Next(), wb.Next()
+		a, b := nextOf(wa), nextOf(wb)
 		if a != b {
 			t.Fatalf("restored wrong path %d: %+v vs %+v", i, a, b)
 		}
@@ -213,7 +213,7 @@ func TestSourceCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		a, c := wa.Next(), wc.Next()
+		a, c := nextOf(wa), nextOf(wc)
 		if a != c {
 			t.Fatalf("restored-from-checkpoint wrong path %d: %+v vs %+v", i, a, c)
 		}
@@ -257,4 +257,10 @@ func TestSampleTrace(t *testing.T) {
 			t.Fatalf("sample instruction %d: decoded %+v, synthetic %+v", i, got, want)
 		}
 	}
+}
+
+// nextOf takes one instruction off a source through its batch interface.
+func nextOf(s trace.Source) isa.Inst {
+	var one [1]isa.Inst
+	return s.Fill(one[:0], 1)[0]
 }

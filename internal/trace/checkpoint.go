@@ -35,13 +35,24 @@ func (w *Walker) CaptureCheckpoint() checkpoint.WalkerState {
 
 // RestoreCheckpoint overwrites the walker's position and stream state
 // from a captured state, keeping its program. Slices from st are copied,
-// never aliased.
+// never aliased. A state that names no real position — a block out of
+// range, an instruction index outside its block (or non-zero while lost),
+// a call stack deeper than the walker can build, loop counters for a
+// different program — is refused before any field is written, so the
+// walker is left unchanged.
 func (w *Walker) RestoreCheckpoint(st checkpoint.WalkerState) error {
-	if st.CurBlock >= len(w.prog.Blocks) {
-		return fmt.Errorf("trace: checkpoint block %d out of range (program has %d blocks)", st.CurBlock, len(w.prog.Blocks))
-	}
-	if st.LoopCnt != nil && len(st.LoopCnt) != len(w.prog.Blocks) {
-		return fmt.Errorf("trace: checkpoint has %d loop counters, program has %d blocks", len(st.LoopCnt), len(w.prog.Blocks))
+	nBlocks := len(w.prog.Blocks)
+	switch {
+	case st.CurBlock < -1 || st.CurBlock >= nBlocks:
+		return fmt.Errorf("trace: checkpoint CurBlock %d out of range (program has %d blocks, -1 is lost)", st.CurBlock, nBlocks)
+	case st.CurBlock == -1 && st.InstIdx != 0:
+		return fmt.Errorf("trace: checkpoint InstIdx %d set on a lost walker (want 0)", st.InstIdx)
+	case st.CurBlock >= 0 && (st.InstIdx < 0 || st.InstIdx >= w.prog.Blocks[st.CurBlock].NumInsts()):
+		return fmt.Errorf("trace: checkpoint InstIdx %d outside block %d's %d instructions", st.InstIdx, st.CurBlock, w.prog.Blocks[st.CurBlock].NumInsts())
+	case len(st.Stack) > maxCallDepth:
+		return fmt.Errorf("trace: checkpoint Stack depth %d exceeds the call-depth cap %d", len(st.Stack), maxCallDepth)
+	case st.LoopCnt != nil && len(st.LoopCnt) != nBlocks:
+		return fmt.Errorf("trace: checkpoint has %d LoopCnt counters, program has %d blocks", len(st.LoopCnt), nBlocks)
 	}
 	w.r.SetState(st.Rng)
 	w.stack = append(w.stack[:0], st.Stack...)
@@ -53,12 +64,14 @@ func (w *Walker) RestoreCheckpoint(st checkpoint.WalkerState) error {
 		}
 		copy(w.loopCnt, st.LoopCnt)
 	}
+	w.cur, w.instIdx, w.pc = nil, st.InstIdx, 0
 	if st.CurBlock >= 0 {
 		w.cur = &w.prog.Blocks[st.CurBlock]
-	} else {
-		w.cur = nil
+		w.pc = w.cur.Addr
+		for _, sz := range w.prog.InstSizes(w.cur)[:st.InstIdx] {
+			w.pc += isa.Addr(sz)
+		}
 	}
-	w.instIdx = st.InstIdx
 	w.lostPC = st.LostPC
 	w.wrongPath = st.WrongPath
 	w.dispatchCenter = st.DispatchCenter

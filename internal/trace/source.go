@@ -12,9 +12,13 @@ import (
 // implement it, so the front-end's instruction address generator is
 // agnostic about where its committed and speculative paths come from.
 type Source interface {
-	// Next produces the next instruction on this source's path, including
-	// its actual control-flow outcome, and advances past it.
-	Next() isa.Inst
+	// Fill appends the next instructions on this source's path, each with
+	// its actual control-flow outcome, to dst up to and including the
+	// first branch or until len(dst) == max, advances past them, and
+	// returns the extended slice. It appends at least one instruction
+	// when len(dst) < max. The front end calls it once per FTQ entry, so
+	// a source hands out a basic block per call.
+	Fill(dst []isa.Inst, max int) []isa.Inst
 	// CaptureSource captures the source's position and stream state as a
 	// tagged union (the backing input — program, trace file — is
 	// reconstruction input, not state).

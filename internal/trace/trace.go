@@ -45,8 +45,12 @@ type Walker struct {
 	// cur is the current block, nil when "lost" (walking addresses that
 	// belong to no block, only possible on wrong paths).
 	cur *cfg.Block
-	// instIdx is the index of the next instruction within cur.
+	// instIdx is the index of the next instruction within cur (0 when
+	// lost). pc is that instruction's address, derived from cur and
+	// instIdx: set on entering a block and advanced by Fill, so no
+	// instruction re-sums the sizes before it.
 	instIdx int
+	pc      isa.Addr
 	// lostPC is the next PC when lost.
 	lostPC isa.Addr
 
@@ -70,7 +74,7 @@ func New(prog *cfg.Program, seed uint64) *Walker {
 		r:       rng.New(seed),
 		loopCnt: make([]uint16, len(prog.Blocks)),
 	}
-	w.cur = &prog.Blocks[prog.Entry]
+	w.gotoBlock(prog.Entry)
 	return w
 }
 
@@ -127,62 +131,96 @@ func (w *Walker) Depth() int { return len(w.stack) }
 func (w *Walker) jumpTo(pc isa.Addr) {
 	blk := w.prog.BlockAt(pc)
 	if blk == nil {
-		w.cur = nil
-		w.lostPC = pc
+		w.cur, w.instIdx, w.lostPC = nil, 0, pc
 		return
 	}
-	// Locate the instruction boundary containing pc. Wrong-path targets
-	// may land mid-instruction; snap to the containing instruction.
+	w.enter(blk, pc)
+}
+
+// enter positions the walker at the instruction of blk containing pc.
+// Wrong-path targets may land mid-instruction; snap to the containing
+// instruction.
+func (w *Walker) enter(blk *cfg.Block, pc isa.Addr) {
+	w.cur = blk
 	a := blk.Addr
-	for i, sz := range blk.InstSizes {
+	for i, sz := range w.prog.InstSizes(blk) {
 		next := a + isa.Addr(sz)
 		if pc < next {
-			w.cur = blk
-			w.instIdx = i
+			w.instIdx, w.pc = i, a
 			return
 		}
 		a = next
 	}
-	// pc == blk.End() cannot happen (BlockAt checked), but be safe.
-	w.cur = blk
-	w.instIdx = len(blk.InstSizes) - 1
+	// pc >= blk.End() cannot happen (BlockAt checked), but be safe.
+	w.instIdx, w.pc = blk.NumInsts()-1, blk.LastPC()
 }
 
 // Next produces the next instruction on this walker's path, including its
 // actual control-flow outcome, and advances past it.
 func (w *Walker) Next() isa.Inst {
-	w.count++
-	if w.cur == nil {
-		in := isa.Inst{PC: w.lostPC, Size: 4, Kind: isa.NotBranch}
-		w.lostPC += 4
-		// A lost wrong path may stumble back into real code.
-		if blk := w.prog.BlockAt(w.lostPC); blk != nil {
-			w.jumpTo(w.lostPC)
+	var one [1]isa.Inst
+	return w.Fill(one[:0], 1)[0]
+}
+
+// Fill implements Source: it appends the path's next instructions, with
+// their actual control-flow outcomes, to dst up to and including the
+// first branch or until len(dst) == max. Per block it appends the run of
+// non-terminator instructions in one loop from the walker's running PC,
+// then samples the terminator (terminate). When dst must grow, it grows
+// once, to capacity max.
+func (w *Walker) Fill(dst []isa.Inst, max int) []isa.Inst {
+	for len(dst) < max {
+		blk := w.cur
+		if blk == nil {
+			dst = append(dst, isa.Inst{PC: w.lostPC, Size: 4, Kind: isa.NotBranch})
+			w.count++
+			w.lostPC += 4
+			// A lost wrong path may stumble back into real code.
+			if blk := w.prog.BlockAt(w.lostPC); blk != nil {
+				w.enter(blk, w.lostPC)
+			}
+			continue
 		}
-		return in
-	}
-
-	blk := w.cur
-	pc := blk.Addr
-	for i := 0; i < w.instIdx; i++ {
-		pc += isa.Addr(blk.InstSizes[i])
-	}
-	size := blk.InstSizes[w.instIdx]
-	lastInst := w.instIdx == blk.NumInsts()-1
-
-	if !lastInst || blk.Term.Kind == isa.NotBranch {
-		in := isa.Inst{PC: pc, Size: size, Kind: isa.NotBranch}
-		if lastInst {
-			w.advanceFallThrough(blk)
-		} else {
-			w.instIdx++
+		sizes := w.prog.InstSizes(blk)
+		last := len(sizes) - 1
+		pc := w.pc
+		if run := min(last-w.instIdx, max-len(dst)); run > 0 {
+			n := len(dst)
+			if n+run <= cap(dst) {
+				dst = dst[:n+run]
+			} else {
+				// Grow once, to max: the most a call can append.
+				//lint:ignore allocfree grows dst only past its capacity; the IAG's pooled FTQ entries reach maxEntryInsts once
+				dst = append(dst, make([]isa.Inst, max-n)...)[:n+run]
+			}
+			for k, sz := range sizes[w.instIdx : w.instIdx+run] {
+				dst[n+k] = isa.Inst{PC: pc, Size: sz, Kind: isa.NotBranch}
+				pc += isa.Addr(sz)
+			}
+			w.instIdx += run
+			w.pc = pc
+			w.count += uint64(run)
+			if len(dst) == max {
+				break
+			}
 		}
-		return in
+		w.count++
+		dst = append(dst, w.terminate(blk, pc, sizes[last]))
+		if blk.Term.Kind.IsBranch() {
+			break
+		}
 	}
+	return dst
+}
 
-	// Terminator instruction: sample the actual outcome.
+// terminate produces blk's final instruction, at pc with the given size:
+// a plain fall-through into the next block, or the terminator branch with
+// its sampled outcome. It moves the walker to the next block.
+func (w *Walker) terminate(blk *cfg.Block, pc isa.Addr, size uint8) isa.Inst {
 	in := isa.Inst{PC: pc, Size: size, Kind: blk.Term.Kind}
 	switch blk.Term.Kind {
+	case isa.NotBranch:
+		w.advanceFallThrough(blk)
 	case isa.CondDirect:
 		if blk.Term.LoopTrip > 0 {
 			if w.loopCnt == nil {
@@ -199,11 +237,10 @@ func (w *Walker) Next() isa.Inst {
 		} else {
 			in.Taken = w.r.Bool(blk.Term.TakenProb)
 		}
+		in.Target = w.prog.Blocks[blk.Term.TakenBlock].Addr
 		if in.Taken {
-			in.Target = w.prog.Blocks[blk.Term.TakenBlock].Addr
 			w.gotoBlock(blk.Term.TakenBlock)
 		} else {
-			in.Target = w.prog.Blocks[blk.Term.TakenBlock].Addr
 			w.advanceFallThrough(blk)
 		}
 	case isa.UncondDirect:
@@ -218,7 +255,7 @@ func (w *Walker) Next() isa.Inst {
 		w.gotoBlock(tgt)
 	case isa.IndirectJump:
 		in.Taken = true
-		tgt := w.pickIndirect(blk.Term.IndTargets)
+		tgt := w.pickIndirect(w.prog.IndTargets(&blk.Term))
 		in.Target = w.prog.Blocks[tgt].Addr
 		w.gotoBlock(tgt)
 	case isa.IndirectCall:
@@ -228,7 +265,7 @@ func (w *Walker) Next() isa.Inst {
 			// Driver loop: dispatch to the next request handler.
 			tgt = w.prog.Funcs[w.dispatchFunc()].FirstBlock
 		} else {
-			tgt = w.capCall(w.pickIndirect(blk.Term.IndTargets))
+			tgt = w.capCall(w.pickIndirect(w.prog.IndTargets(&blk.Term)))
 		}
 		in.Target = w.prog.Blocks[tgt].Addr
 		w.pushRet(in.FallThrough())
@@ -320,6 +357,7 @@ func (w *Walker) dispatchFunc() int {
 func (w *Walker) gotoBlock(id int) {
 	w.cur = &w.prog.Blocks[id]
 	w.instIdx = 0
+	w.pc = w.cur.Addr
 }
 
 // advanceFallThrough moves to the next sequential block; at the end of the

@@ -141,10 +141,10 @@ func TestForkMidInstruction(t *testing.T) {
 	}
 	// Target one byte into the second instruction: the walker must snap
 	// to the containing instruction boundary.
-	target := blk.Addr + isa.Addr(blk.InstSizes[0]) + 1
+	target := blk.Addr + isa.Addr(prog.InstSizes(blk)[0]) + 1
 	f := New(prog, 1).Fork(target)
 	in := f.Next()
-	if in.PC != blk.Addr+isa.Addr(blk.InstSizes[0]) {
+	if in.PC != blk.Addr+isa.Addr(prog.InstSizes(blk)[0]) {
 		t.Fatalf("mid-instruction fork produced PC %v", in.PC)
 	}
 }

@@ -10,6 +10,11 @@
 #   bash scripts/bench-ab.sh BASE WORKLOADS [PAIRS [SECONDS [SEED]]]
 #   make bench-ab BASE=main~1 WORKLOAD=fig10-cold,warm-sweep,fabric-tcp PAIRS=10
 #
+# After the tables it prints the change's net line count against BASE
+# (`git diff --shortstat`), once over all files and once over non-test .go
+# files, for the PR description next to the A/B numbers. It counts tracked
+# files only, so `git add` new files first.
+#
 # Run it from the repository root. The base sources (a `git archive` of
 # BASE) and each side's build (its own CARGO_TARGET_DIR) live in a
 # temporary directory under ${TMPDIR:-/tmp}, removed on exit; every run's
@@ -72,3 +77,7 @@ for workload in "${workloads[@]}"; do
 	echo "head wins: grid_wall_s $wall_wins/$pairs, sim_minst_per_s $rate_wins/$pairs"
 	echo
 done
+
+echo "net lines vs $base_ref:"
+echo "  all files:          $(git diff --shortstat "$base_ref")"
+echo "  non-test .go files: $(git diff --shortstat "$base_ref" -- '*.go' ':(exclude)*_test.go')"
