@@ -78,17 +78,15 @@ trace-suite:
 	$(GO) test ./internal/trace/... -count=1
 	$(GO) test ./internal/harness -run 'TestGoldenMetricsTraceRoundTrip|TestRecordTrace|TestTrace' -count=1 -v
 
-# Distributed-fabric gate: run the 3-cell smoke grid through a localhost
-# coordinator + 2-worker fleet sharing a checkpoint directory, then
-# serially, and require the two merged documents to be byte-identical
+# Distributed-fabric gate: run the 3-cell smoke grid through the real
+# deployment — `gridd serve` on a localhost TCP port plus two `gridd work`
+# processes sharing a checkpoint directory — then through `gridd run` in
+# one process, and require the two merged documents to be byte-identical
 # (cmp). This is the end-to-end proof that sharding, warm leases, sample
 # streaming, and the deterministic merge change nothing but wall-clock.
+# Any process exiting nonzero fails it; timeout bounds the whole run.
 fabric-smoke:
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/gridd run -grid smoke -workers 2 -checkpoint-dir "$$dir/ck" -out "$$dir/fabric.json" && \
-	$(GO) run ./cmd/gridd run -grid smoke -workers 0 -checkpoint-dir "$$dir/ck2" -out "$$dir/serial.json" && \
-	cmp "$$dir/fabric.json" "$$dir/serial.json" && \
-	echo "fabric-smoke: distributed merged document is byte-identical to serial"
+	timeout 600 bash scripts/fabric-smoke.sh
 
 # Socket/multi-tenant gate: the Socket{N:1} golden-equivalence pin, the
 # 2-tenant interference + determinism acceptance test, and the

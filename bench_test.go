@@ -19,8 +19,6 @@ import (
 	"pdip/internal/cfg"
 	"pdip/internal/checkpoint"
 	"pdip/internal/core"
-	"pdip/internal/fabric"
-	"pdip/internal/harness"
 	"pdip/internal/isa"
 	"pdip/internal/mem"
 	ipdip "pdip/internal/pdip"
@@ -156,48 +154,6 @@ func BenchmarkAblationPQReserve(b *testing.B) { benchPolicyPair(b, "pdip44", "pd
 // BenchmarkAblationFDIP measures the value of the decoupled front-end
 // itself (§6.2: FDIP is worth 27.1% over a coupled core).
 func BenchmarkAblationFDIP(b *testing.B) { benchPolicyPair(b, "baseline", "no-fdip") }
-
-// BenchmarkFabricGridThroughput distributes a fixed 6-cell grid over
-// localhost fleets of 1, 2, and 4 workers that share a pre-warmed
-// checkpoint directory (warmed outside the timed region, so every job
-// forks instead of simulating its warmup). Each iteration is one full
-// grid: fleet start, distribution, measure-phase simulation, merge,
-// drain. On a multi-core host the 2- and 4-worker rows show the fabric's
-// scaling; on a single-core host they bound its overhead instead — see
-// EXPERIMENTS.md.
-func BenchmarkFabricGridThroughput(b *testing.B) {
-	grid := fabric.Grid{
-		Benchmarks: []string{"cassandra", "kafka", "tpcc"},
-		Policies:   []string{"baseline", "pdip44"},
-		Warmup:     20_000,
-		Measure:    60_000,
-	}
-	specs, err := grid.Specs()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ckdir := b.TempDir()
-			if _, err := harness.NewRunnerWithCheckpoints(0, ckdir).RunAll(specs); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fleet := fabric.StartFleet(workers, 1, ckdir, fabric.Config{})
-				results, err := fleet.RunGrid(specs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(results) != len(specs) {
-					b.Fatalf("want %d cells, got %d", len(specs), len(results))
-				}
-				fleet.Close()
-			}
-			b.ReportMetric(float64(len(specs))*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-		})
-	}
-}
 
 // --- simulator micro-benches ---
 

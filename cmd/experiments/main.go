@@ -9,7 +9,6 @@
 //	experiments -run fig10 -metrics runs.json   # dump every run's registry
 //	experiments -record-trace traces -benchmarks kafka,tomcat
 //	experiments -run fig10 -trace traces -trace-differential
-//	experiments -run fig10 -fabric-workers 4      # distribute cells over a localhost fleet
 //	experiments -run fig10 -shard 0/4             # static benchmark shard (no coordinator)
 //	experiments -list
 //	experiments -list-benchmarks
@@ -49,7 +48,6 @@ func main() {
 		traceDir = flag.String("trace", "", "drive every run from ChampSim traces in this directory (<benchmark>.champsim or .champsim.gz) instead of the synthetic walker")
 		traceDif = flag.Bool("trace-differential", false, "with -trace: cross-check every decoded instruction against the synthetic walker; any divergence fails the run")
 		recDir   = flag.String("record-trace", "", "record every selected benchmark's synthetic stream as gzipped ChampSim traces into this directory and exit")
-		fabricN  = flag.Int("fabric-workers", 0, "distribute every run over this many in-process fabric workers sharing -checkpoint-dir (0 = run locally)")
 		shard    = flag.String("shard", "", "run only the i-th of n static benchmark shards ('i/n') — the coordinator-free way to split a grid across machines")
 	)
 	flag.Parse()
@@ -138,15 +136,6 @@ func main() {
 		defer gcCheckpoints(ck, *ckGCMB)
 	}
 	runner := pdip.NewRunnerWithDir(*par, ck)
-	var fleet *fabric.Fleet
-	if *fabricN > 0 {
-		// Route every cache-missing run through a localhost fleet whose
-		// workers share -checkpoint-dir's store; the experiment code is
-		// unchanged, and each warm tuple is decoded once per process.
-		fleet = fabric.StartFleetWithDir(*fabricN, 1, ck, fabric.Config{})
-		defer fleet.Close()
-		runner.SetExecutor(fleet.Exec)
-	}
 	if *run == "all" {
 		for _, e := range pdip.Experiments() {
 			out, err := e.Run(runner, o)
@@ -158,7 +147,7 @@ func main() {
 			fmt.Println(out)
 		}
 		dumpMetrics(runner, *metrics)
-		reportStats(runner, fleet)
+		reportStats(runner)
 		return
 	}
 	e, err := pdip.ExperimentByID(*run)
@@ -174,7 +163,7 @@ func main() {
 	fmt.Println("== " + e.Title + " ==")
 	fmt.Println(out)
 	dumpMetrics(runner, *metrics)
-	reportStats(runner, fleet)
+	reportStats(runner)
 }
 
 // recordTraces exports every selected benchmark's synthetic instruction
@@ -201,21 +190,11 @@ func recordTraces(o pdip.Options, dir string) error {
 }
 
 // reportStats summarises execution and warm-state reuse on stderr, once,
-// from the Runner.Stats() accessor (plus the fleet's aggregate when the
-// runs were distributed): runs executed vs memoised, and how warmups were
-// served — simulated, in-memory, or forked from the on-disk store.
-func reportStats(runner *pdip.Runner, fleet *fabric.Fleet) {
+// from the Runner.Stats() accessor: runs executed vs memoised, and how
+// warmups were served — simulated, in-memory, or forked from the on-disk
+// store.
+func reportStats(runner *pdip.Runner) {
 	s := runner.Stats()
-	if fleet != nil {
-		// The local runner only memoises; the workers executed. Report
-		// the cluster-wide counters the coordinator aggregated.
-		fs := fleet.Stats()
-		fmt.Fprintf(os.Stderr,
-			"experiments: fabric: %d cells over %d workers (%d completed, %d failed, %d retries, %d re-queues)\n",
-			fs.Cells, fs.Workers, fs.Completed, fs.Failed, fs.Retries, fs.Requeues)
-		s.RunsExecuted = fs.Runner.RunsExecuted
-		s.Checkpoint = fs.Runner.Checkpoint
-	}
 	if s.RunsExecuted == 0 && s.CacheHits == 0 {
 		return
 	}

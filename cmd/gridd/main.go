@@ -1,19 +1,20 @@
 // Command gridd runs the distributed experiment fabric: a coordinator
-// that shards a benchmark×policy×BTB×seed grid over workers which share
-// warm state through a content-addressed checkpoint directory, plus a
-// self-contained localhost mode.
+// that shards a benchmark×policy×BTB×seed grid over worker processes
+// which share warm state through a content-addressed checkpoint
+// directory, plus a single-process mode that runs the same grid on one
+// Runner's worker pool.
 //
 // Usage:
 //
-//	gridd run -grid smoke -workers 4              # localhost fleet, one process
-//	gridd run -grid fig10 -workers 0 -out a.json  # serial reference (Runner.RunAll)
+//	gridd run -grid smoke                         # one process, every core (Runner.RunAll)
+//	gridd run -grid fig10 -parallel 1 -out a.json # one cell at a time
 //	gridd serve -addr :7070 -grid grid.json -out merged.json
 //	gridd work -connect host:7070 -parallel 2 -checkpoint-dir /shared/ck
 //
 // Grids are JSON files (see internal/fabric.Grid) or the built-ins
 // "fig10" (headline grid: all 16 benchmarks × baseline + Figure 10's six
 // policy columns) and "smoke" (3 cells, seconds). A distributed run's
-// merged document is byte-identical to a serial run of the same grid —
+// merged document is byte-identical to `gridd run` of the same grid —
 // `cmp` the -out files to audit a deployment.
 package main
 
@@ -56,7 +57,7 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  gridd run   -grid <file|fig10|smoke> [-workers N] [-parallel N] [-checkpoint-dir d] [-checkpoint-gc-mb N] [-out f]
+  gridd run   -grid <file|fig10|smoke> [-shard i/n] [-parallel N] [-checkpoint-dir d] [-checkpoint-gc-mb N] [-out f]
   gridd serve -addr host:port -grid <file|fig10|smoke> [-shard i/n] [-out f]
   gridd work  -connect host:port [-parallel N] [-name id] [-checkpoint-dir d] [-checkpoint-gc-mb N]
 `)
@@ -193,15 +194,14 @@ func gcStore(ck *checkpoint.Dir, maxMB int64) {
 	}
 }
 
-// runCmd is the self-contained localhost mode: a coordinator plus
-// -workers in-process workers ( -workers 0 = serial Runner.RunAll, the
-// byte-identity reference).
+// runCmd runs the grid in this process through one Runner.RunAll over
+// the checkpoint store — the reference a distributed run's merged
+// document must match byte for byte.
 func runCmd(argv []string) error {
 	fs := flag.NewFlagSet("gridd run", flag.ExitOnError)
 	gf := addGridFlags(fs)
-	workers := fs.Int("workers", 2, "fleet size (0 = run the grid serially in-process)")
-	par := fs.Int("parallel", 1, "concurrent jobs per worker")
-	ckDir := fs.String("checkpoint-dir", "", "shared warm-state checkpoint directory (default: private temp dir)")
+	par := fs.Int("parallel", 0, "max concurrent cells (0 = GOMAXPROCS)")
+	ckDir := fs.String("checkpoint-dir", "", "warm-state checkpoint directory (default: private temp dir)")
 	ckGCMB := fs.Int64("checkpoint-gc-mb", 0, "after the grid, delete oldest checkpoints until -checkpoint-dir is under this many MiB (0 = never collect)")
 	out := fs.String("out", "", "write the merged-grid JSON document here (default stdout)")
 	fs.Parse(argv)
@@ -222,31 +222,20 @@ func runCmd(argv []string) error {
 	ck := checkpoint.NewDir(dir, 0)
 	defer gcStore(ck, *ckGCMB)
 
-	var results []*harness.RunResult
-	if *workers <= 0 {
-		runner := harness.NewRunnerWithDir(*par, ck)
-		results, err = runner.RunAll(specs)
-		if err != nil {
-			return err
-		}
-		s := runner.Stats()
-		fmt.Fprintf(os.Stderr, "gridd: serial: executed %d runs (%d cache hits)\n", s.RunsExecuted, s.CacheHits)
-	} else {
-		fleet := fabric.StartFleetWithDir(*workers, *par, ck, fabric.Config{})
-		defer fleet.Close()
-		results, err = fleet.RunGrid(specs)
-		if err != nil {
-			return err
-		}
-		reportStats(fleet.Stats())
+	runner := harness.NewRunnerWithDir(*par, ck)
+	results, err := runner.RunAll(specs)
+	if err != nil {
+		return err
 	}
+	s := runner.Stats()
+	fmt.Fprintf(os.Stderr, "gridd: executed %d runs (%d cache hits)\n", s.RunsExecuted, s.CacheHits)
 	fmt.Fprint(os.Stderr, fabric.SummaryTable(results))
 	return writeDoc(*out, results)
 }
 
 // serveCmd runs the coordinator of a multi-process deployment: it listens
 // for `gridd work` processes, distributes the grid, writes the merged
-// document, and drains the fleet.
+// document, and drains the workers.
 func serveCmd(argv []string) error {
 	fs := flag.NewFlagSet("gridd serve", flag.ExitOnError)
 	gf := addGridFlags(fs)

@@ -492,6 +492,11 @@ func (c *Coordinator) HandleConn(conn net.Conn) {
 	for c.workers[name] != nil && !c.workers[name].gone {
 		name += "+"
 	}
+	if old := c.workers[name]; old != nil {
+		// A worker reconnecting under a lost connection's name replaces
+		// its entry; keep the lost connection's counters in the total.
+		c.stats.Runner.Add(old.stats)
+	}
 	wc := &workerConn{
 		name: name, w: w, lastSeen: now,
 		inflight: make(map[uint64]bool),

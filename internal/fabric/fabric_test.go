@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -52,6 +53,30 @@ func mergedDoc(t *testing.T, results []*harness.RunResult) []byte {
 	return buf.Bytes()
 }
 
+// startWorkers joins n single-slot workers to a new coordinator over
+// net.Pipe. Each worker has its own Runner and its own checkpoint.Dir on
+// one shared path, as n `gridd work` processes sharing -checkpoint-dir
+// would. Cleanup closes the coordinator and waits for every connection
+// goroutine.
+func startWorkers(t *testing.T, n int, cfg Config) *Coordinator {
+	t.Helper()
+	ckdir := t.TempDir()
+	coord := NewCoordinator(cfg)
+	var wg sync.WaitGroup
+	for i := 1; i <= n; i++ {
+		w := &Worker{Name: fmt.Sprintf("w%d", i), Runner: harness.NewRunnerWithCheckpoints(1, ckdir), Slots: 1}
+		cend, wend := net.Pipe()
+		wg.Add(2)
+		go func() { defer wg.Done(); coord.HandleConn(cend) }()
+		go func() { defer wg.Done(); w.Run(wend) }()
+	}
+	t.Cleanup(func() {
+		coord.Close()
+		wg.Wait()
+	})
+	return coord
+}
+
 // TestFabricBitIdenticalToSerial distributes the reference grid over two
 // in-process workers with a shared checkpoint directory and requires the
 // merged document to be byte-identical to a serial Runner.RunAll over the
@@ -63,9 +88,8 @@ func TestFabricBitIdenticalToSerial(t *testing.T) {
 	}
 	want := serialDoc(t, specs)
 
-	fleet := StartFleet(2, 1, t.TempDir(), Config{})
-	defer fleet.Close()
-	results, err := fleet.RunGrid(specs)
+	coord := startWorkers(t, 2, Config{})
+	results, err := coord.RunGrid(specs)
 	if err != nil {
 		t.Fatalf("fabric grid: %v", err)
 	}
@@ -74,7 +98,7 @@ func TestFabricBitIdenticalToSerial(t *testing.T) {
 		t.Fatalf("distributed merged document differs from serial reference\nserial:\n%s\nfabric:\n%s", want, got)
 	}
 
-	st := fleet.Stats()
+	st := coord.Stats()
 	if st.Cells != uint64(len(specs)) || st.Completed != uint64(len(specs)) {
 		t.Fatalf("stats: want %d cells completed, got %+v", len(specs), st)
 	}
@@ -201,12 +225,11 @@ func TestFabricLeaseExpiry(t *testing.T) {
 // TestFabricRetryCap permanently fails a job whose spec errors on every
 // worker, after MaxAttempts tries, without stalling the rest of the grid.
 func TestFabricRetryCap(t *testing.T) {
-	fleet := StartFleet(2, 1, t.TempDir(), Config{MaxAttempts: 2, RetryBackoff: time.Millisecond})
-	defer fleet.Close()
+	coord := startWorkers(t, 2, Config{MaxAttempts: 2, RetryBackoff: time.Millisecond})
 
 	bad := harness.RunSpec{Benchmark: "no-such-benchmark", Policy: "baseline", Warmup: 1000, Measure: 1000}
 	good := harness.RunSpec{Benchmark: "kafka", Policy: "baseline", Warmup: 20_000, Measure: 60_000}
-	badP, goodP := fleet.Coordinator.Submit(bad), fleet.Coordinator.Submit(good)
+	badP, goodP := coord.Submit(bad), coord.Submit(good)
 
 	if _, err := goodP.Wait(); err != nil {
 		t.Fatalf("good cell: %v", err)
@@ -218,7 +241,7 @@ func TestFabricRetryCap(t *testing.T) {
 	if !strings.Contains(err.Error(), "attempts exhausted") {
 		t.Fatalf("bad cell error %q: want attempts exhausted", err)
 	}
-	st := fleet.Stats()
+	st := coord.Stats()
 	if st.Failed != 1 || st.Retries != 1 {
 		t.Fatalf("want 1 permanent failure after 1 retry, got %+v", st)
 	}
@@ -237,12 +260,11 @@ func TestFabricWarmLease(t *testing.T) {
 		t.Fatalf("specs should share a warm tuple: %q vs %q", a.WarmTuple(), b.WarmTuple())
 	}
 
-	fleet := StartFleet(2, 1, t.TempDir(), Config{})
-	defer fleet.Close()
-	if _, err := fleet.RunGrid([]harness.RunSpec{a, b}); err != nil {
+	coord := startWorkers(t, 2, Config{})
+	if _, err := coord.RunGrid([]harness.RunSpec{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	st := fleet.Stats()
+	st := coord.Stats()
 	if st.Runner.Checkpoint.WarmupsExecuted != 1 {
 		t.Fatalf("want exactly 1 cluster-wide warmup, got %+v", st.Runner.Checkpoint)
 	}
@@ -289,10 +311,9 @@ func TestFabricTCP(t *testing.T) {
 // TestFabricSubmitDedup hands the coordinator the same spec twice and
 // expects one job, one execution, two identical results.
 func TestFabricSubmitDedup(t *testing.T) {
-	fleet := StartFleet(1, 1, t.TempDir(), Config{})
-	defer fleet.Close()
+	coord := startWorkers(t, 1, Config{})
 	spec := harness.RunSpec{Benchmark: "kafka", Policy: "baseline", Warmup: 20_000, Measure: 60_000}
-	p1, p2 := fleet.Coordinator.Submit(spec), fleet.Coordinator.Submit(spec)
+	p1, p2 := coord.Submit(spec), coord.Submit(spec)
 	r1, err1 := p1.Wait()
 	r2, err2 := p2.Wait()
 	if err1 != nil || err2 != nil {
@@ -301,7 +322,35 @@ func TestFabricSubmitDedup(t *testing.T) {
 	if r1 != r2 {
 		t.Fatalf("duplicate submissions should share one job result")
 	}
-	if st := fleet.Stats(); st.Cells != 1 || st.Runner.RunsExecuted != 1 {
+	if st := coord.Stats(); st.Cells != 1 || st.Runner.RunsExecuted != 1 {
 		t.Fatalf("want one deduped cell executed once, got %+v", st)
+	}
+}
+
+// TestFabricReconnectKeepsStats connects a worker named "w", runs one
+// cell on it, drops it, and reconnects a fresh worker under the same
+// name for a second cell — a `gridd work -name w` restarted after a
+// crash. The new connection replaces the lost one's entry; the
+// aggregate must still count both connections' runs.
+func TestFabricReconnectKeepsStats(t *testing.T) {
+	coord := NewCoordinator(Config{})
+	defer coord.Close()
+	ckdir := t.TempDir()
+	for i, policy := range []string{"baseline", "pdip44"} {
+		w := &Worker{Name: "w", Runner: harness.NewRunnerWithCheckpoints(1, ckdir), Slots: 1}
+		cend, wend := net.Pipe()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); coord.HandleConn(cend) }()
+		go func() { defer wg.Done(); w.Run(wend) }()
+		spec := harness.RunSpec{Benchmark: "kafka", Policy: policy, Warmup: 20_000, Measure: 60_000}
+		if _, err := coord.Submit(spec).Wait(); err != nil {
+			t.Fatalf("connection %d: %v", i+1, err)
+		}
+		wend.Close()
+		wg.Wait()
+	}
+	if st := coord.Stats(); st.Workers != 2 || st.Runner.RunsExecuted != 2 {
+		t.Fatalf("want 2 workers and 2 runs executed, got Workers=%d RunsExecuted=%d", st.Workers, st.Runner.RunsExecuted)
 	}
 }

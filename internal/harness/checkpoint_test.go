@@ -191,8 +191,8 @@ func TestCheckpointDiskCache(t *testing.T) {
 	}
 }
 
-// TestCheckpointSharedDirCache exercises the in-process layer the fleet
-// relies on: runners sharing one checkpoint.Dir must serve each other's
+// TestCheckpointSharedDirCache exercises the store's decoded-state
+// cache: runners sharing one checkpoint.Dir must serve each other's
 // warm states from the store's decoded-state cache — counted as
 // DirCacheHits, with the disk never re-read — and stay bit-identical.
 func TestCheckpointSharedDirCache(t *testing.T) {
@@ -294,6 +294,71 @@ func TestWarmKeyCoversRunSpec(t *testing.T) {
 	sort.Strings(stale)
 	for _, s := range stale {
 		t.Errorf("%s names no RunSpec field", s)
+	}
+}
+
+// diskKeyAlternatives gives each field TestDiskKeyCoversWarmKey changes
+// a second valid value: every warmKey field except the trace fields,
+// whose warm states bypass the disk store, and every measure-phase field.
+var diskKeyAlternatives = map[string]any{
+	"Benchmark":     "cassandra",
+	"Policy":        "pdip44",
+	"BTBEntries":    4096,
+	"Seed":          uint64(3),
+	"Warmup":        uint64(25_000),
+	"NoFastForward": true,
+	"Measure":       uint64(90_000),
+	"SampleEvery":   uint64(30_000),
+	"CollectSets":   true,
+}
+
+// TestDiskKeyCoversWarmKey audits the checkpoint store's content address
+// the way TestWarmKeyCoversRunSpec audits warmKey, through the same
+// projection a warmup takes (warmKeyOf, warmKey.spec, buildConfig). A
+// warmKey field that does not move diskKey would let two warm states
+// share one checkpoint file; a measure-phase field that moves it would
+// make each variant warm and store its own copy.
+func TestDiskKeyCoversWarmKey(t *testing.T) {
+	key := func(spec RunSpec) string {
+		t.Helper()
+		wspec := warmKeyOf(spec).spec()
+		_, c, err := buildConfig(wspec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Key(), err)
+		}
+		k, err := diskKey(wspec, c)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Key(), err)
+		}
+		return k
+	}
+	base := RunSpec{Benchmark: "kafka", Policy: "baseline", Warmup: 20_000, Measure: 60_000}
+	baseKey := key(base)
+	changed := func(name string) (RunSpec, bool) {
+		alt, ok := diskKeyAlternatives[name]
+		if !ok {
+			t.Errorf("RunSpec.%s has no entry in diskKeyAlternatives: this audit cannot change it", name)
+			return base, false
+		}
+		spec := base
+		reflect.ValueOf(&spec).Elem().FieldByName(name).Set(reflect.ValueOf(alt))
+		return spec, true
+	}
+
+	keyType := reflect.TypeOf(warmKey{})
+	for i := 0; i < keyType.NumField(); i++ {
+		name := keyType.Field(i).Name
+		if name == "TracePath" || name == "TraceDifferential" {
+			continue // trace-driven warm states stay in memory
+		}
+		if spec, ok := changed(name); ok && key(spec) == baseKey {
+			t.Errorf("warmKey.%s: changing it to %v leaves diskKey unchanged", name, diskKeyAlternatives[name])
+		}
+	}
+	for name := range measurePhaseFields {
+		if spec, ok := changed(name); ok && key(spec) != baseKey {
+			t.Errorf("measure-phase field RunSpec.%s changes diskKey", name)
+		}
 	}
 }
 

@@ -206,7 +206,8 @@ type RunnerStats struct {
 	Checkpoint CheckpointStats
 }
 
-// Add accumulates o into s (aggregating stats across fleet workers).
+// Add accumulates o into s (the fabric coordinator sums its workers'
+// stats this way).
 func (s *RunnerStats) Add(o RunnerStats) {
 	s.RunsExecuted += o.RunsExecuted
 	s.CacheHits += o.CacheHits
@@ -229,10 +230,11 @@ type CheckpointStats struct {
 	// warmup).
 	MemoryHits uint64
 	// DirCacheHits counts warm states served already-decoded from the
-	// checkpoint store's in-memory cache — no disk read, no decode. With
-	// several runners sharing one Dir (fleet workers), these are forks
-	// that skipped the disk entirely because a sibling had already paid
-	// for the decode.
+	// checkpoint store's in-memory cache — no disk read, no decode. Only
+	// Runners sharing one Dir score these: forks that skipped the disk
+	// because a sibling had already paid for the decode. No command
+	// shares a Dir between Runners, and a Runner's own repeats are
+	// MemoryHits.
 	DirCacheHits uint64
 	// DiskHits counts warm states read and decoded from the on-disk
 	// -checkpoint-dir store; DiskStores counts warm states written to it.
@@ -254,13 +256,12 @@ type Runner struct {
 	ckStats  CheckpointStats
 	stats    RunnerStats
 	// executor, when set, replaces local execution for cache-missing
-	// runs: the spec is handed to it (the fabric fleet's submit path)
-	// and the returned result is memoised exactly as a local one.
+	// runs: the spec is handed to it (see SetExecutor) and the returned
+	// result is memoised exactly as a local one.
 	executor func(RunSpec) (*RunResult, error)
 	// ck, when non-nil, is the content-addressed checkpoint store: the
 	// on-disk directory shared across processes, fronted by its decoded
-	// in-memory cache (shared across every Runner holding the same Dir —
-	// fleet workers in one process fork each tuple's decode exactly once).
+	// in-memory cache (shared across every Runner holding the same Dir).
 	ck  *checkpoint.Dir
 	sem chan struct{}
 }
@@ -282,9 +283,9 @@ func NewRunnerWithCheckpoints(parallelism int, dir string) *Runner {
 	return NewRunnerWithDir(parallelism, ck)
 }
 
-// NewRunnerWithDir is NewRunnerWithCheckpoints over an existing store —
-// the form that lets several Runners (the fabric fleet's workers) share
-// one decoded-state cache. A nil ck keeps checkpoints in memory only.
+// NewRunnerWithDir is NewRunnerWithCheckpoints over an existing store,
+// for callers that keep the Dir (to GC it after the run, say). A nil ck
+// keeps checkpoints in memory only.
 func NewRunnerWithDir(parallelism int, ck *checkpoint.Dir) *Runner {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -322,10 +323,11 @@ func (r *Runner) Stats() RunnerStats {
 }
 
 // SetExecutor routes every cache-missing Run through exec instead of
-// executing locally — the hook `experiments -fabric-workers` uses to push
-// an unmodified experiment grid through a distributed fleet. Memoisation
-// and per-spec singleflight still apply in front of exec. Must be set
-// before the first Run; a nil exec restores local execution.
+// executing locally. perfbench wraps Runner.ExecuteJob this way to time
+// each cell, and TestExperimentsIssueCellsConcurrently blocks cells in it
+// to prove an experiment issues them concurrently. Memoisation and
+// per-spec singleflight still apply in front of exec. Must be set before
+// the first Run; a nil exec restores local execution.
 func (r *Runner) SetExecutor(exec func(RunSpec) (*RunResult, error)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -405,14 +407,12 @@ func (r *Runner) warmState(wk warmKey) (*checkpoint.State, error) {
 	return c.st, c.err
 }
 
-// buildWarmState produces wk's warm state: from the on-disk cache when
-// configured and populated, otherwise by simulating the warmup window on
-// a fresh core and snapshotting it (and storing the result on disk).
-func (r *Runner) buildWarmState(wk warmKey) (*checkpoint.State, error) {
-	// Warm with measure-phase knobs off: CollectSets has no timing effect
-	// and its sets are cleared at the measurement boundary anyway, so the
-	// cheapest configuration warms for all of them.
-	wspec := RunSpec{
+// spec is the run that warms wk: its warm-state fields with every
+// measure-phase knob off. CollectSets has no timing effect and its sets
+// are cleared at the measurement boundary anyway, so the cheapest
+// configuration warms for all of them.
+func (wk warmKey) spec() RunSpec {
+	return RunSpec{
 		Benchmark:         wk.Benchmark,
 		Policy:            wk.Policy,
 		BTBEntries:        wk.BTBEntries,
@@ -422,6 +422,13 @@ func (r *Runner) buildWarmState(wk warmKey) (*checkpoint.State, error) {
 		TracePath:         wk.TracePath,
 		TraceDifferential: wk.TraceDifferential,
 	}
+}
+
+// buildWarmState produces wk's warm state: from the on-disk cache when
+// configured and populated, otherwise by simulating the warmup window on
+// a fresh core and snapshotting it (and storing the result on disk).
+func (r *Runner) buildWarmState(wk warmKey) (*checkpoint.State, error) {
+	wspec := wk.spec()
 	prog, c, err := buildConfig(wspec)
 	if err != nil {
 		return nil, err

@@ -153,9 +153,8 @@ func NewCheckpointDir(path string, cacheBytes int64) *CheckpointDir {
 }
 
 // NewRunnerWithDir returns a runner over an existing checkpoint store.
-// Several runners may share one store — fleet workers started in the
-// same process do, so each warm tuple is decoded once and every sibling
-// forks it from memory.
+// Runners sharing one store decode each warm tuple once and fork it from
+// the store's in-memory cache.
 func NewRunnerWithDir(n int, ck *CheckpointDir) *Runner {
 	return harness.NewRunnerWithDir(n, ck)
 }
